@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import cooccurrence, corpus, disambiguation, evaluation, morphology
-from .errors import FormatError
+from .errors import FormatError, decoding
 
 DEFAULT_WINDOW = 3
 DEFAULT_MEASURE = "spmi"
@@ -47,9 +48,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with decoding(path), open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -133,7 +144,7 @@ def cmd_build_matrix(args: argparse.Namespace) -> int:
         raise FormatError("corpus contains no documents", path=args.corpus)
     stopwords = corpus.load_stopwords(cfg.stopword_path)
     streams = list(corpus.iter_token_streams(documents, stopwords))
-    matrix = cooccurrence.build_matrix(streams, cfg.window_n, jobs=args.jobs)
+    matrix = cooccurrence.build_matrix(streams, cfg.window_n)
     cooccurrence.save_matrix(matrix, args.out)
     print(f"documents\t{len(documents)}")
     print(f"vocabulary\t{len(matrix.vocab)}")
@@ -153,7 +164,9 @@ def _result_record(result: disambiguation.StemResult) -> dict:
         "candidates": [
             {
                 "root": cand.root,
-                "score": scored.score,
+                # pmi scores -inf for a pair that never co-occurs; JSON
+                # has no such number, so it is written as null.
+                "score": scored.score if math.isfinite(scored.score) else None,
                 "derived_in_vocab": scored.derived_in_vocab,
                 "prefix": cand.segmentation.prefix,
                 "infix": cand.segmentation.infix,
@@ -169,10 +182,14 @@ def _result_record(result: disambiguation.StemResult) -> dict:
 def cmd_stem(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     stemmer = _load_stemmer(cfg)
-    text = args.text if args.text is not None else Path(args.file).read_text(encoding="utf-8")
-    results = stemmer.stem_text(text, jobs=args.jobs)
+    if args.text is not None:
+        text = args.text
+    else:
+        with decoding(args.file):
+            text = Path(args.file).read_text(encoding="utf-8")
+    results = stemmer.stem_text(text)
     for result in results:
-        print(json.dumps(_result_record(result), ensure_ascii=False, sort_keys=True))
+        print(json.dumps(_result_record(result), ensure_ascii=False, sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -188,7 +205,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     # The gold file's row order is the token stream; each word is stemmed
     # in that context, and the first occurrence speaks for the word.
     stream = [p.word for p in sequence]
-    results = stemmer.stem_tokens(stream, jobs=args.jobs)
+    results = stemmer.stem_tokens(stream)
     stemmed: dict[str, str | None] = {}
     for pair, result in zip(sequence, results):
         stemmed.setdefault(pair.word, result.root)
@@ -197,11 +214,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not rooted:
         raise FormatError("gold file has no rooted pairs", path=args.gold)
 
+    # Gold words are normalized, so the stemmer's candidate memo already
+    # holds every word it stemmed; the words it skipped are computed here.
     covered = 0
     coverage_lines = []
-    resources = stemmer.resources
     for pair in rooted:
-        roots = {c.root for c in morphology.generate_candidates(pair.word, resources)}
+        roots = {c.root for c in stemmer.candidates(pair.word)}
         hit = pair.gold_root in roots
         covered += hit
         coverage_lines.append(f"COVERAGE\t{pair.word}\t{pair.gold_root}\t{'yes' if hit else 'no'}")
@@ -245,7 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--jobs", type=int, default=1, help="worker threads (default 1)")
+        p.add_argument(
+            "--jobs",
+            type=_positive_int,
+            default=1,
+            help="accepted for compatibility; work runs serially (default 1)",
+        )
 
     p = sub.add_parser("build-matrix", help="count co-occurrences over a corpus")
     p.add_argument("--corpus", required=True, help="corpus directory or line-per-document file")

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import FormatError
+from .errors import FormatError, decoding
 
 NEG_INF = float("-inf")
 
@@ -158,6 +157,8 @@ def build_matrix(
     Within each document, the words at positions i and j are associated
     whenever 0 < |i - j| < window_n; windows never cross document
     boundaries. Documents must already be normalized and stopword-filtered.
+    ``jobs`` is accepted and ignored: counting runs serially, since the
+    work is pure Python and threads only made it slower.
     """
     if window_n < 2:
         raise ValueError(f"window_n must be >= 2, got {window_n}")
@@ -167,13 +168,7 @@ def build_matrix(
     indexed = [[vocab.add(w) for w in doc] for doc in docs]
 
     counts: dict[tuple[int, int], int] = {}
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            partials = list(pool.map(lambda d: _count_document(d, window_n), indexed))
-    else:
-        partials = [_count_document(d, window_n) for d in indexed]
-    # Merging in document order makes the result identical to a single
-    # sequential pass regardless of worker count.
+    partials = [_count_document(d, window_n) for d in indexed]
     for partial in partials:
         for pair, c in partial.items():
             counts[pair] = counts.get(pair, 0) + c
@@ -197,11 +192,28 @@ def association(
     """
     if matrix.total == 0:
         raise ValueError("association is undefined on an empty matrix")
-    joint = matrix.count(w, c)
+    ti = matrix.vocab.index.get(w)
+    ci = matrix.vocab.index.get(c)
+    if ti is None or ci is None:
+        return NEG_INF if measure.kind == "pmi" else 0.0
+    return association_at(matrix, ti, ci, measure)
+
+
+def association_at(
+    matrix: ContextMatrix, ti: int, ci: int, measure: AssociationMeasure
+) -> float:
+    """``association`` of the words at vocabulary indices ``ti`` and ``ci``.
+
+    This is where the measures are defined; ``association`` only looks the
+    two words up.
+    """
+    if matrix.total == 0:
+        raise ValueError("association is undefined on an empty matrix")
+    joint = matrix.counts.get((ti, ci), 0)
     if joint == 0:
         return NEG_INF if measure.kind == "pmi" else 0.0
-    tm = matrix.target_marginal(w)
-    cm = matrix.context_marginal(c)
+    tm = matrix.target_marginals[ti]
+    cm = matrix.context_marginals[ci]
     if measure.kind == "spmi":
         norm = matrix.context_alpha_norm(measure.alpha)
         value = math.log2((joint * norm) / (tm * cm**measure.alpha))
@@ -244,7 +256,8 @@ def _header_field(field_text: str, name: str, path: str) -> int:
 def load_matrix(source: str | Path) -> ContextMatrix:
     """Read a matrix file, validating structure and the declared total."""
     path = str(source)
-    text = Path(source).read_text(encoding="utf-8")
+    with decoding(path):
+        text = Path(source).read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines:
         raise FormatError("empty matrix file", path=path)

@@ -9,9 +9,11 @@ the filtered token streams produced here, so the exact rules matter:
 * normalization strips the short-vowel diacritics (U+064B..U+0652) and
   tatweel, folds the hamza-carrying alef forms onto bare alef, and folds
   alef maqsura onto yeh; ta marbuta is kept (the suffix list handles it);
-* filtering keeps only all-Arabic-letter tokens that are not stopwords.
-  Positions are renumbered by the surviving order, which is what defines
-  adjacency for the co-occurrence window.
+* a token is kept (``is_kept``) when it is a non-empty run of Arabic
+  letters and not a stopword. Filtering keeps only such tokens, and
+  positions are renumbered by the surviving order, which is what defines
+  adjacency for the co-occurrence window. Stemming skips every other
+  token by the same rule.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import FormatError
+from .errors import FormatError, decoding
 
 # Arabic letters after normalization fall in U+0621..U+064A.
 _ARABIC_LETTER = re.compile(r"^[ء-ي]+$")
@@ -49,7 +51,9 @@ def tokenize(text: str) -> list[Token]:
     """Split text into word, punctuation, and digit tokens, in order.
 
     A token is a maximal run of characters of the same class; whitespace
-    separates tokens and is never emitted. Positions are 0-based indices
+    separates tokens and is never emitted. Decimal digits (Unicode
+    category Nd, Latin and Arabic-Indic alike) form a class of their own,
+    so ``كتب123`` gives ``كتب`` and ``123``. Positions are 0-based indices
     into the emitted sequence.
     """
     tokens: list[Token] = []
@@ -66,7 +70,13 @@ def tokenize(text: str) -> list[Token]:
             flush()
             run_kind = None
             continue
-        kind = "punct" if unicodedata.category(ch)[0] in ("P", "S") else "word"
+        category = unicodedata.category(ch)
+        if category[0] in ("P", "S"):
+            kind = "punct"
+        elif category == "Nd":
+            kind = "digit"
+        else:
+            kind = "word"
         if kind != run_kind:
             flush()
             run_kind = kind
@@ -89,13 +99,20 @@ def is_arabic_word(token: str) -> bool:
     return bool(_ARABIC_LETTER.match(token))
 
 
+def is_kept(token: str, stopwords: frozenset[str]) -> bool:
+    """True for a normalized token that matrix building and stemming use:
+    a non-empty run of Arabic letters that is not a stopword."""
+    return bool(token) and token not in stopwords and is_arabic_word(token)
+
+
 def filter_tokens(tokens: Iterable[str], stopwords: frozenset[str]) -> list[str]:
-    """Drop stopwords, punctuation-only, digit-only, and non-Arabic tokens.
+    """Keep the tokens ``is_kept`` accepts, dropping stopwords, punctuation,
+    digits and non-Arabic tokens.
 
     The survivors keep their relative order; their new list index is the
     position used for context-window adjacency.
     """
-    return [t for t in tokens if t and is_arabic_word(t) and t not in stopwords]
+    return [t for t in tokens if is_kept(t, stopwords)]
 
 
 def prepare(text: str, stopwords: frozenset[str]) -> list[str]:
@@ -111,7 +128,7 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     normalized tokens.
     """
     entries: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with decoding(path), open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -137,13 +154,14 @@ def read_corpus(path: str | Path, fmt: str = "auto") -> list[RawDocument]:
             raise FormatError("corpus path is not a directory", path=str(path))
         docs = []
         for child in sorted(p for p in path.iterdir() if p.is_file()):
-            docs.append(RawDocument(child.name, child.read_text(encoding="utf-8")))
+            with decoding(child):
+                docs.append(RawDocument(child.name, child.read_text(encoding="utf-8")))
         return docs
     if fmt == "lines":
         if not path.is_file():
             raise FormatError("corpus path is not a file", path=str(path))
         docs = []
-        with open(path, encoding="utf-8") as fh:
+        with decoding(path), open(path, encoding="utf-8") as fh:
             for i, line in enumerate(fh, start=1):
                 line = line.strip()
                 if line:

@@ -13,16 +13,21 @@ A word can, and regularly does, yield several dictionary-valid roots;
 ranking them is the disambiguation module's job. Everything here is
 deterministic: segmentations are ordered longest-infix-first, patterns in
 file order, weak variants in a fixed expansion order.
+
+The resource objects index themselves once, when they are built: affix
+lists know their longest entry, so ``segment`` probes only the prefixes
+and suffixes the word could carry, and ``MorphResources`` groups its
+patterns by length and by root arity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
 from .corpus import is_arabic_word, normalize
-from .errors import FormatError
+from .errors import FormatError, decoding
 
 WEAK_LETTERS = "اوي"  # ا و ي
 
@@ -46,18 +51,47 @@ class Segmentation:
 class AffixLists:
     prefixes: frozenset[str]
     suffixes: frozenset[str]
+    longest_prefix: int = field(init=False, repr=False, compare=False)
+    longest_suffix: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "longest_prefix", max(map(len, self.prefixes), default=0))
+        object.__setattr__(self, "longest_suffix", max(map(len, self.suffixes), default=0))
 
 
 class Pattern:
-    """A derivation template: literal letters plus numbered root slots."""
+    """A derivation template: literal letters plus numbered root slots.
 
-    __slots__ = ("cells", "source", "length", "root_arity")
+    The cells are compiled once: the positions of the literals, the pairs
+    of positions a repeated slot ties together, the first position of
+    each slot, and a ``str.format`` template for instantiation.
+    """
+
+    __slots__ = ("cells", "source", "length", "root_arity", "_literals", "_repeats", "_slots", "_template")
 
     def __init__(self, cells: tuple[int | str, ...], source: str):
         self.cells = cells
         self.source = source
         self.length = len(cells)
         self.root_arity = max(c for c in cells if isinstance(c, int))
+        first: dict[int, int] = {}
+        literals = []
+        repeats = []
+        template = []
+        for pos, cell in enumerate(cells):
+            if isinstance(cell, str):
+                literals.append((pos, cell))
+                template.append(cell.replace("{", "{{").replace("}", "}}"))
+                continue
+            if cell in first:
+                repeats.append((first[cell], pos))
+            else:
+                first[cell] = pos
+            template.append("{%d}" % (cell - 1))
+        self._literals = tuple(literals)
+        self._repeats = tuple(repeats)
+        self._slots = tuple(first[i] for i in range(1, self.root_arity + 1))
+        self._template = "".join(template)
 
     def match(self, infix: str) -> str | None:
         """Extract the raw root if the infix fits this template exactly.
@@ -67,17 +101,13 @@ class Pattern:
         """
         if len(infix) != self.length:
             return None
-        letters: dict[int, str] = {}
-        for cell, ch in zip(self.cells, infix):
-            if isinstance(cell, str):
-                if cell != ch:
-                    return None
-            elif cell in letters:
-                if letters[cell] != ch:
-                    return None
-            else:
-                letters[cell] = ch
-        return "".join(letters[i] for i in range(1, self.root_arity + 1))
+        for pos, ch in self._literals:
+            if infix[pos] != ch:
+                return None
+        for a, b in self._repeats:
+            if infix[a] != infix[b]:
+                return None
+        return "".join([infix[pos] for pos in self._slots])
 
     def instantiate(self, root: str) -> str:
         """Fill the slots with the letters of ``root`` (arities must agree)."""
@@ -85,7 +115,7 @@ class Pattern:
             raise ValueError(
                 f"pattern {self.source!r} takes a {self.root_arity}-letter root, got {root!r}"
             )
-        return "".join(c if isinstance(c, str) else root[c - 1] for c in self.cells)
+        return self._template.format(*root)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Pattern) and self.cells == other.cells
@@ -117,6 +147,25 @@ class MorphResources:
     affixes: AffixLists
     patterns: tuple[Pattern, ...]
     roots: frozenset[str]
+    _by_length: dict[int, tuple[Pattern, ...]] = field(init=False, repr=False, compare=False)
+    _by_arity: dict[int, tuple[Pattern, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        by_length: dict[int, list[Pattern]] = {}
+        by_arity: dict[int, list[Pattern]] = {}
+        for pattern in self.patterns:
+            by_length.setdefault(pattern.length, []).append(pattern)
+            by_arity.setdefault(pattern.root_arity, []).append(pattern)
+        object.__setattr__(self, "_by_length", {n: tuple(ps) for n, ps in by_length.items()})
+        object.__setattr__(self, "_by_arity", {n: tuple(ps) for n, ps in by_arity.items()})
+
+    def patterns_of_length(self, length: int) -> tuple[Pattern, ...]:
+        """The templates that span ``length`` letters, in file order."""
+        return self._by_length.get(length, ())
+
+    def patterns_of_arity(self, arity: int) -> tuple[Pattern, ...]:
+        """The templates that take an ``arity``-letter root, in file order."""
+        return self._by_arity.get(arity, ())
 
 
 def parse_pattern(line: str, *, path: str | None = None, lineno: int | None = None) -> Pattern:
@@ -159,19 +208,21 @@ def segment(word: str, affixes: AffixLists) -> list[Segmentation]:
 
     The infix must keep at least two letters. Ordered by decreasing infix
     length, then (prefix, suffix) lexicographically; the trivial split
-    comes first whenever the word itself is long enough.
+    comes first whenever the word itself is long enough. Only the word's
+    own leading and trailing letter runs, up to the longest affix, are
+    looked up in the lists.
     """
+    n = len(word)
+    prefixes, suffixes = affixes.prefixes, affixes.suffixes
     splits = []
-    for p in affixes.prefixes:
-        if not word.startswith(p):
+    for k in range(min(affixes.longest_prefix, n - 2) + 1):
+        p = word[:k]
+        if p not in prefixes:
             continue
-        rest = word[len(p):]
-        for s in affixes.suffixes:
-            if s and not rest.endswith(s):
-                continue
-            infix = rest[: len(rest) - len(s)] if s else rest
-            if len(infix) >= 2:
-                splits.append(Segmentation(p, infix, s))
+        for m in range(min(affixes.longest_suffix, n - k - 2) + 1):
+            s = word[n - m:]
+            if s in suffixes:
+                splits.append(Segmentation(p, word[k:n - m], s))
     splits.sort(key=lambda seg: (-len(seg.infix), seg.prefix, seg.suffix))
     return splits
 
@@ -231,9 +282,7 @@ def generate_candidates(word: str, resources: MorphResources) -> list[CandidateR
             candidates.append(CandidateRoot(root, seg, pattern, tag))
 
     for seg in segment(word, resources.affixes):
-        for pattern in resources.patterns:
-            if pattern.length != len(seg.infix):
-                continue
+        for pattern in resources.patterns_of_length(len(seg.infix)):
             raw = pattern.match(seg.infix)
             if raw is None:
                 continue
@@ -249,7 +298,7 @@ def generate_candidates(word: str, resources: MorphResources) -> list[CandidateR
 
 
 def _read_lines(path: Path) -> Iterable[tuple[int, str]]:
-    with open(path, encoding="utf-8") as fh:
+    with decoding(path), open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if line and not line.startswith("#"):

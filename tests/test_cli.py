@@ -5,6 +5,8 @@ import pytest
 from cbas.cli import main
 from cbas.cooccurrence import load_matrix
 
+from .conftest import DATA_DIR
+
 TOY_FILES = {
     "prefixes.txt": "و\nف\nب\nال\nوال\nبال\nل\n",
     "suffixes.txt": "ة\nون\nين\nها\nي\nا\n",
@@ -328,3 +330,76 @@ class TestDeterminism:
         first = capsys.readouterr().out
         assert main(stem_args(workspace, "--text", text, "--jobs", "4")) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_usage_error(self, workspace, capsys, jobs):
+        with pytest.raises(SystemExit) as err:
+            main(stem_args(workspace, "--text", "وقال", "--jobs", jobs))
+        assert err.value.code == 1
+        assert "--jobs" in capsys.readouterr().err
+
+
+class TestStrictJson:
+    def test_pmi_minus_infinity_is_written_as_null(self, tmp_path, capsys):
+        # An in-vocabulary derivation that never co-occurs with the
+        # context scores -inf under pmi, which JSON cannot express.
+        matrix = tmp_path / "m.tsv"
+        assert main(["build-matrix", "--corpus", str(DATA_DIR / "sample_corpus"), "--out", str(matrix)]) == 0
+        capsys.readouterr()
+        assert main(["stem", "--matrix", str(matrix), "--text", "وقال مدرب الفريق", "--measure", "pmi"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        records = [json.loads(line, parse_constant=reject) for line in capsys.readouterr().out.splitlines()]
+        scores = [cand["score"] for record in records for cand in record["candidates"]]
+        assert None in scores
+        assert all(s is None or isinstance(s, float) for s in scores)
+
+
+BAD_UTF8 = "سطر سليم\n".encode("utf-8") + b"\xff\xfe \xd8\n"
+
+
+def _bad_reader_case(ws, reader):
+    """The file ``reader`` is made to read, and the argv that makes it read that file."""
+    res = ws / "resources"
+    if reader == "corpus-dir":
+        bad = ws / "corpus" / "z.txt"
+        return bad, ["build-matrix", "--corpus", str(ws / "corpus"), "--stopwords", str(res / "stopwords.txt"),
+                     "--out", str(ws / "x.tsv")]
+    if reader == "corpus-lines":
+        bad = ws / "lines.txt"
+        return bad, ["build-matrix", "--corpus", str(bad), "--corpus-format", "lines", "--out", str(ws / "x.tsv")]
+    if reader == "stopwords":
+        bad = ws / "stop.txt"
+        return bad, ["build-matrix", "--corpus", str(ws / "corpus"), "--stopwords", str(bad), "--out", str(ws / "x.tsv")]
+    if reader == "resources":
+        bad = res / "roots.txt"
+        return bad, stem_args(ws, "--text", "وقال")
+    if reader == "gold":
+        bad = ws / "gold.tsv"
+        return bad, eval_args(ws, bad)
+    if reader == "matrix":
+        bad = ws / "matrix.tsv"
+        return bad, stem_args(ws, "--text", "وقال")
+    if reader == "config":
+        bad = ws / "cbas.conf"
+        return bad, stem_args(ws, "--text", "وقال", "--config", str(bad))
+    if reader == "stem-file":
+        bad = ws / "article.txt"
+        return bad, stem_args(ws, "--file", str(bad))
+    raise AssertionError(reader)
+
+
+@pytest.mark.parametrize(
+    "reader",
+    ["corpus-dir", "corpus-lines", "stopwords", "resources", "gold", "matrix", "config", "stem-file"],
+)
+def test_invalid_utf8_is_format_error_with_path_and_line(workspace, capsys, reader):
+    bad, argv = _bad_reader_case(workspace, reader)
+    capsys.readouterr()
+    bad.write_bytes(BAD_UTF8)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:2: not valid UTF-8" in err
+    assert "Traceback" not in err

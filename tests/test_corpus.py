@@ -39,6 +39,13 @@ class TestTokenize:
             Token("23", 2),
         ]
 
+    def test_digits_glued_to_letters_split_off(self):
+        assert [t.surface for t in tokenize("كتب123 درس")] == ["كتب", "123", "درس"]
+        assert [t.surface for t in tokenize("٢٠درس")] == ["٢٠", "درس"]
+
+    def test_glued_digits_no_longer_hide_the_word(self):
+        assert prepare("كتب123 درس", frozenset()) == ["كتب", "درس"]
+
     def test_attached_punctuation_splits_off(self):
         surfaces = [t.surface for t in tokenize("الاوبرا، وقال")]
         assert surfaces == ["الاوبرا", "،", "وقال"]

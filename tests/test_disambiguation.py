@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from cbas import disambiguation
 from cbas.cooccurrence import AssociationMeasure, ContextMatrix, build_matrix
 from cbas.disambiguation import (
     ScoredRoot,
@@ -10,7 +13,10 @@ from cbas.disambiguation import (
     select_root,
 )
 from cbas.cooccurrence import association
-from cbas.morphology import CandidateRoot, Segmentation, parse_pattern
+from cbas.corpus import iter_token_streams, normalize, read_corpus, tokenize
+from cbas.morphology import CandidateRoot, Segmentation, generate_candidates, parse_pattern
+
+from .conftest import DATA_DIR
 
 # Corpus built so that derivations of قول co-occur with الرجل while قيل
 # never surfaces at all: exactly one of the two candidate roots of وقال
@@ -236,3 +242,90 @@ class TestStemmer:
             assert isinstance(scored, ScoredRoot)
             assert scored.root == cand.root
             assert scored.score >= 0.0  # spmi default
+
+
+# Kept words, a stopword, digits, punctuation, a non-Arabic token and a
+# word without candidates: every path through the stemmer.
+STREAM_TOKENS = ["الرجل", "يقول", "الحق", "وقال", "الناس", "الدرس", "لدار", "إن", "24", ".", "abc", "د"]
+
+
+class TestOneStemmingPath:
+    @given(
+        st.lists(st.sampled_from(STREAM_TOKENS), max_size=6),
+        st.sampled_from(STREAM_TOKENS),
+        st.lists(st.sampled_from(STREAM_TOKENS), max_size=6),
+        st.sampled_from(["previous", "window"]),
+    )
+    def test_stem_equals_stem_tokens_at_its_position(self, toy_resources, mini_matrix, before, word, after, mode):
+        stemmer = Stemmer(toy_resources, STOPWORDS, mini_matrix, AssociationMeasure("pmi"), mode)
+        streamed = Stemmer(toy_resources, STOPWORDS, mini_matrix, AssociationMeasure("pmi"), mode)
+        assert stemmer.stem(word, before, after) == streamed.stem_tokens(before + [word] + after)[len(before)]
+
+    def test_memo_tables_compute_each_word_and_root_once(self, toy_resources, mini_matrix, monkeypatch):
+        calls = {"generate_candidates": [], "derive_words": []}
+        for name in calls:
+            inner = getattr(disambiguation, name)
+
+            def counted(arg, *rest, _inner=inner, _seen=calls[name]):
+                _seen.append(arg)
+                return _inner(arg, *rest)
+
+            monkeypatch.setattr(disambiguation, name, counted)
+        stemmer = Stemmer(toy_resources, STOPWORDS, mini_matrix)
+        stream = ["الرجل", "وقال", "الحق"] * 5
+        results = stemmer.stem_tokens(stream)
+        stemmer.stem("وقال", before=["الرجل"])
+        assert sorted(calls["generate_candidates"]) == sorted(set(stream))
+        roots = {cand.root for r in results for cand, _ in r.scored}
+        assert sorted(calls["derive_words"]) == sorted(roots)
+
+
+@pytest.fixture(scope="module")
+def bundled_setup(bundled_resources, bundled_stopwords):
+    documents = read_corpus(DATA_DIR / "sample_corpus")
+    matrix = build_matrix(iter_token_streams(documents, bundled_stopwords), 3)
+    tokens = [t.surface for doc in documents for t in tokenize(doc.text)]
+    return bundled_resources, bundled_stopwords, matrix, tokens
+
+
+def word_by_word_score(root, ctx_words, matrix, measure, resources):
+    """The mean as first defined: one word-keyed association per pair,
+    derived words outer, context words inner."""
+    if not ctx_words:
+        return 0.0
+    derived = derive_words(root, resources.patterns, matrix.vocab)
+    total, pairs = 0.0, 0
+    for d in derived:
+        for c in ctx_words:
+            pairs += 1
+            if d in matrix.vocab and c in matrix.vocab:
+                total += association(matrix, d, c, measure)
+    return total / pairs
+
+
+@pytest.mark.parametrize("mode", ["previous", "window"])
+@pytest.mark.parametrize("kind", ["pmi", "ppmi", "spmi"])
+def test_memoised_stemming_equals_select_root_on_bundled_corpus(bundled_setup, kind, mode):
+    resources, stopwords, matrix, tokens = bundled_setup
+    measure = AssociationMeasure(kind, 0.75)
+    results = Stemmer(resources, stopwords, matrix, measure, mode).stem_tokens(tokens)
+    normalized = [normalize(t) for t in tokens]
+    kept = [n for n, r in zip(normalized, results) if r.skip_reason is None or r.skip_reason == "no-candidates"]
+    keep = matrix.window_n - 1
+    pos = 0
+    for norm, result in zip(normalized, results):
+        if result.skip_reason not in (None, "no-candidates"):
+            continue
+        candidates = generate_candidates(norm, resources)
+        assert [c for c, _ in result.scored] == candidates
+        if candidates:
+            context = StemContext(tuple(kept[max(0, pos - keep):pos]), tuple(kept[pos + 1:pos + 1 + keep]))
+            chosen, table = select_root(candidates, context, matrix, measure, resources.patterns, mode)
+            assert (result.root, [s for _, s in result.scored]) == (chosen.root, table), norm
+            ctx_words = context.preceding[-1:] if mode == "previous" else context.preceding + context.following
+            for _, scored in result.scored:
+                assert scored.score == word_by_word_score(scored.root, ctx_words, matrix, measure, resources), norm
+        else:
+            assert result.root is None and result.skip_reason == "no-candidates"
+        pos += 1
+    assert pos == len(kept) > 500

@@ -231,3 +231,52 @@ class TestLoadResources:
         assert all(3 <= len(r) <= 5 for r in bundled_resources.roots)
         assert any(p.root_arity == 4 for p in bundled_resources.patterns)
         assert any(p.root_arity == 5 for p in bundled_resources.patterns)
+
+
+class TestIndexedLookups:
+    """The indexed fast paths agree with the plain definitions."""
+
+    AFFIXES = make_toy_resources().affixes
+
+    @given(st.text(alphabet=CORE_LETTERS, max_size=9))
+    def test_segment_equals_all_affix_pairs(self, word):
+        brute = sorted(
+            (
+                Segmentation(p, word[len(p): len(word) - len(s)], s)
+                for p in self.AFFIXES.prefixes
+                for s in self.AFFIXES.suffixes
+                if word.startswith(p) and word.endswith(s) and len(word) - len(p) - len(s) >= 2
+            ),
+            key=lambda seg: (-len(seg.infix), seg.prefix, seg.suffix),
+        )
+        assert segment(word, self.AFFIXES) == brute
+
+    @given(st.sampled_from(["123", "1ا23", "12ا3", "ا12ا3", "1234", "12و33", "م1233"]),
+           st.text(alphabet=CORE_LETTERS, min_size=3, max_size=6))
+    def test_match_and_instantiate_equal_cell_loops(self, source, word):
+        pattern = parse_pattern(source)
+        letters = {}
+        fits = len(word) == pattern.length
+        for cell, ch in zip(pattern.cells, word):
+            if isinstance(cell, str):
+                fits = fits and cell == ch
+            else:
+                fits = fits and letters.setdefault(cell, ch) == ch
+        want = "".join(letters[i] for i in range(1, pattern.root_arity + 1)) if fits else None
+        assert pattern.match(word) == want
+        root = word[: pattern.root_arity]
+        if len(root) == pattern.root_arity:
+            assert pattern.instantiate(root) == "".join(
+                c if isinstance(c, str) else root[c - 1] for c in pattern.cells
+            )
+
+    def test_patterns_indexed_in_file_order(self):
+        resources = make_toy_resources()
+        for length in range(1, 7):
+            assert resources.patterns_of_length(length) == tuple(
+                p for p in resources.patterns if p.length == length
+            )
+        for arity in range(1, 6):
+            assert resources.patterns_of_arity(arity) == tuple(
+                p for p in resources.patterns if p.root_arity == arity
+            )
