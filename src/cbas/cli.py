@@ -143,7 +143,7 @@ def cmd_build_matrix(args: argparse.Namespace) -> int:
     if not documents:
         raise FormatError("corpus contains no documents", path=args.corpus)
     stopwords = corpus.load_stopwords(cfg.stopword_path)
-    streams = list(corpus.iter_token_streams(documents, stopwords))
+    streams = corpus.iter_token_streams(documents, stopwords)
     matrix = cooccurrence.build_matrix(streams, cfg.window_n)
     cooccurrence.save_matrix(matrix, args.out)
     print(f"documents\t{len(documents)}")
@@ -184,6 +184,10 @@ def cmd_stem(args: argparse.Namespace) -> int:
     stemmer = _load_stemmer(cfg)
     if args.text is not None:
         text = args.text
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:  # argv bytes that are not UTF-8 arrive as lone surrogates
+            raise UsageError("--text is not valid UTF-8") from None
     else:
         with decoding(args.file):
             text = Path(args.file).read_text(encoding="utf-8")
@@ -199,8 +203,8 @@ def cmd_stem(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     stemmer = _load_stemmer(cfg)
-    pairs = evaluation.load_gold(args.gold)
     sequence = evaluation.load_gold_sequence(args.gold)
+    pairs = list(dict.fromkeys(sequence))
 
     # The gold file's row order is the token stream; each word is stemmed
     # in that context, and the first occurrence speaks for the word.

@@ -8,10 +8,9 @@ yields identical association scores.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import FormatError, decoding
 
@@ -137,41 +136,32 @@ class ContextMatrix:
         )
 
 
-def _count_document(doc: Sequence[int], window_n: int) -> Counter:
-    """Directed pair counts for one document of vocabulary indices."""
-    pairs: Counter = Counter()
-    reach = window_n - 1
-    n = len(doc)
-    for i, wi in enumerate(doc):
-        for j in range(max(0, i - reach), min(n, i + reach + 1)):
-            if j != i:
-                pairs[(wi, doc[j])] += 1
-    return pairs
-
-
 def build_matrix(
-    documents: Iterable[Sequence[str]], window_n: int, jobs: int = 1
+    documents: Iterable[Iterable[str]], window_n: int, jobs: int = 1
 ) -> ContextMatrix:
     """Count co-occurrences within a symmetric window of size ``window_n``.
 
     Within each document, the words at positions i and j are associated
     whenever 0 < |i - j| < window_n; windows never cross document
     boundaries. Documents must already be normalized and stopword-filtered.
-    ``jobs`` is accepted and ignored: counting runs serially, since the
-    work is pure Python and threads only made it slower.
+    ``documents`` and each document are read once, in order, so either
+    may be a generator. ``jobs`` is accepted and ignored: counting runs
+    serially, since the work is pure Python and threads only made it
+    slower.
     """
     if window_n < 2:
         raise ValueError(f"window_n must be >= 2, got {window_n}")
-    docs = [list(d) for d in documents]
-
     vocab = Vocabulary()
-    indexed = [[vocab.add(w) for w in doc] for doc in docs]
-
     counts: dict[tuple[int, int], int] = {}
-    partials = [_count_document(d, window_n) for d in indexed]
-    for partial in partials:
-        for pair, c in partial.items():
-            counts[pair] = counts.get(pair, 0) + c
+    reach = window_n - 1
+    for words in documents:
+        doc = [vocab.add(w) for w in words]
+        n = len(doc)
+        for i, wi in enumerate(doc):
+            for j in range(max(0, i - reach), min(n, i + reach + 1)):
+                if j != i:
+                    pair = (wi, doc[j])
+                    counts[pair] = counts.get(pair, 0) + 1
     return ContextMatrix(window_n, vocab, counts)
 
 
@@ -229,15 +219,16 @@ def association_at(
 
 def save_matrix(matrix: ContextMatrix, destination: str | Path) -> None:
     """Write the documented TSV format; triplets sorted by (target, context)."""
-    lines = [
-        f"{FILE_MAGIC}\t{FILE_VERSION}\twindow={matrix.window_n}"
-        f"\ttotal={matrix.total}\tvocab={len(matrix.vocab)}"
-    ]
-    for idx, word in enumerate(matrix.vocab.words):
-        lines.append(f"{idx}\t{word}")
-    for (ti, ci) in sorted(matrix.counts):
-        lines.append(f"{ti}\t{ci}\t{matrix.counts[(ti, ci)]}")
-    Path(destination).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    counts = matrix.counts
+    with open(destination, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(
+            f"{FILE_MAGIC}\t{FILE_VERSION}\twindow={matrix.window_n}"
+            f"\ttotal={matrix.total}\tvocab={len(matrix.vocab)}\n"
+        )
+        for idx, word in enumerate(matrix.vocab.words):
+            fh.write(f"{idx}\t{word}\n")
+        for pair in sorted(counts):
+            fh.write(f"{pair[0]}\t{pair[1]}\t{counts[pair]}\n")
 
 
 def _header_field(field_text: str, name: str, path: str) -> int:
@@ -254,60 +245,64 @@ def _header_field(field_text: str, name: str, path: str) -> int:
 
 
 def load_matrix(source: str | Path) -> ContextMatrix:
-    """Read a matrix file, validating structure and the declared total."""
+    """Read a matrix file, validating structure and the declared total.
+
+    The file is parsed as it is read. Lines end only at ``\n``, ``\r\n``
+    or ``\r``, so a vocabulary word may hold any other line separator.
+    """
     path = str(source)
-    with decoding(path):
-        text = Path(source).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines:
-        raise FormatError("empty matrix file", path=path)
+    with decoding(path), open(source, encoding="utf-8") as fh:
+        first = fh.readline()
+        if not first:
+            raise FormatError("empty matrix file", path=path)
 
-    header = lines[0].split("\t")
-    if len(header) != 5 or header[0] != FILE_MAGIC:
-        raise FormatError("not a context-matrix file", path=path, line=1)
-    if header[1] != FILE_VERSION:
-        raise FormatError(f"unsupported version {header[1]!r}", path=path, line=1)
-    window_n = _header_field(header[2], "window", path)
-    total = _header_field(header[3], "total", path)
-    vocab_size = _header_field(header[4], "vocab", path)
-    if window_n < 2:
-        raise FormatError("window must be >= 2", path=path, line=1)
-    if len(lines) < 1 + vocab_size:
-        raise FormatError("fewer vocabulary lines than declared", path=path)
+        header = first.rstrip("\n").split("\t")
+        if len(header) != 5 or header[0] != FILE_MAGIC:
+            raise FormatError("not a context-matrix file", path=path, line=1)
+        if header[1] != FILE_VERSION:
+            raise FormatError(f"unsupported version {header[1]!r}", path=path, line=1)
+        window_n = _header_field(header[2], "window", path)
+        total = _header_field(header[3], "total", path)
+        vocab_size = _header_field(header[4], "vocab", path)
+        if window_n < 2:
+            raise FormatError("window must be >= 2", path=path, line=1)
 
-    vocab = Vocabulary()
-    for lineno in range(2, 2 + vocab_size):
-        fields = lines[lineno - 1].split("\t")
-        if len(fields) != 2:
-            raise FormatError("vocabulary line must be <index>\\t<word>", path=path, line=lineno)
-        try:
-            idx = int(fields[0])
-        except ValueError:
-            raise FormatError("vocabulary index is not an integer", path=path, line=lineno) from None
-        if idx != len(vocab):
-            raise FormatError(f"vocabulary index out of order (expected {len(vocab)})", path=path, line=lineno)
-        word = fields[1]
-        if not word or word in vocab:
-            raise FormatError(f"empty or duplicate vocabulary word {word!r}", path=path, line=lineno)
-        vocab.add(word)
+        vocab = Vocabulary()
+        for lineno in range(2, 2 + vocab_size):
+            line = fh.readline()
+            if not line:
+                raise FormatError("fewer vocabulary lines than declared", path=path)
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 2:
+                raise FormatError("vocabulary line must be <index>\\t<word>", path=path, line=lineno)
+            try:
+                idx = int(fields[0])
+            except ValueError:
+                raise FormatError("vocabulary index is not an integer", path=path, line=lineno) from None
+            if idx != len(vocab):
+                raise FormatError(f"vocabulary index out of order (expected {len(vocab)})", path=path, line=lineno)
+            word = fields[1]
+            if not word or word in vocab:
+                raise FormatError(f"empty or duplicate vocabulary word {word!r}", path=path, line=lineno)
+            vocab.add(word)
 
-    counts: dict[tuple[int, int], int] = {}
-    for lineno in range(2 + vocab_size, len(lines) + 1):
-        line = lines[lineno - 1]
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise FormatError("count line must be <target>\\t<context>\\t<count>", path=path, line=lineno)
-        try:
-            ti, ci, c = (int(f) for f in fields)
-        except ValueError:
-            raise FormatError("count line fields must be integers", path=path, line=lineno) from None
-        if not (0 <= ti < vocab_size and 0 <= ci < vocab_size):
-            raise FormatError("word index out of range", path=path, line=lineno)
-        if c < 1:
-            raise FormatError("stored counts must be >= 1", path=path, line=lineno)
-        if (ti, ci) in counts:
-            raise FormatError("duplicate (target, context) pair", path=path, line=lineno)
-        counts[(ti, ci)] = c
+        counts: dict[tuple[int, int], int] = {}
+        for lineno, line in enumerate(fh, start=2 + vocab_size):
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 3:
+                raise FormatError("count line must be <target>\\t<context>\\t<count>", path=path, line=lineno)
+            try:
+                ti, ci, c = map(int, fields)
+            except ValueError:
+                raise FormatError("count line fields must be integers", path=path, line=lineno) from None
+            if not (0 <= ti < vocab_size and 0 <= ci < vocab_size):
+                raise FormatError("word index out of range", path=path, line=lineno)
+            if c < 1:
+                raise FormatError("stored counts must be >= 1", path=path, line=lineno)
+            pair = (ti, ci)
+            if pair in counts:
+                raise FormatError("duplicate (target, context) pair", path=path, line=lineno)
+            counts[pair] = c
 
     matrix = ContextMatrix(window_n, vocab, counts)
     if matrix.total != total:

@@ -96,13 +96,7 @@ def _parse_gold(path: str | Path) -> Iterable[GoldPair]:
 
 def load_gold(path: str | Path) -> list[GoldPair]:
     """Read word/root TSV rows, normalized, duplicates collapsed."""
-    seen: set[GoldPair] = set()
-    pairs = []
-    for pair in _parse_gold(path):
-        if pair not in seen:
-            seen.add(pair)
-            pairs.append(pair)
-    return pairs
+    return list(dict.fromkeys(load_gold_sequence(path)))
 
 
 def load_gold_sequence(path: str | Path) -> list[GoldPair]:

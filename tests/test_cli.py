@@ -3,7 +3,7 @@ import json
 import pytest
 
 from cbas.cli import main
-from cbas.cooccurrence import load_matrix
+from cbas.cooccurrence import build_matrix, load_matrix, save_matrix
 
 from .conftest import DATA_DIR
 
@@ -182,6 +182,14 @@ class TestStem:
 
     def test_bad_alpha_is_usage_error(self, workspace, capsys):
         assert main(stem_args(workspace, "--text", "وقال", "--alpha", "1.5")) == 1
+
+    def test_text_that_is_not_utf8_is_usage_error(self, workspace, capsys):
+        # Python decodes argv bytes that are not UTF-8 to lone surrogates.
+        assert main(stem_args(workspace, "--text", "قال \udcff")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cbas: error: --text is not valid UTF-8" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_text_and_file_are_exclusive(self, workspace, capsys):
         with pytest.raises(SystemExit) as err:
@@ -402,4 +410,21 @@ def test_invalid_utf8_is_format_error_with_path_and_line(workspace, capsys, read
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"{bad}:2: not valid UTF-8" in err
+    assert "Traceback" not in err
+
+
+def test_invalid_utf8_deep_in_a_matrix_names_its_line(workspace, capsys):
+    # The bad byte lies past the first 64 KiB, so it is met by a later read
+    # of the open file, well after the header and vocabulary are parsed.
+    matrix = workspace / "matrix.tsv"
+    save_matrix(build_matrix([[f"w{i}" for i in range(5000)]], 2), matrix)
+    data = matrix.read_bytes()
+    pos = len(data) - 2  # the last digit of the last count line
+    assert pos > 64 * 1024
+    matrix.write_bytes(data[:pos] + b"\xff" + data[pos + 1:])
+    line = data[:pos].count(b"\n") + 1
+    capsys.readouterr()
+    assert main(stem_args(workspace, "--text", "وقال")) == 2
+    err = capsys.readouterr().err
+    assert f"{matrix}:{line}: not valid UTF-8" in err
     assert "Traceback" not in err

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cbas.cooccurrence import (
@@ -62,6 +62,9 @@ class TestBuildMatrix:
         assert m.total == len(pairs)
         for (w, c) in set(pairs):
             assert m.count(w, c) == pairs.count((w, c))
+        streamed = build_matrix(((w for w in d) for d in docs), n)
+        assert streamed == m
+        assert list(streamed.counts) == list(m.counts)
 
     @given(documents, st.integers(min_value=2, max_value=4))
     def test_symmetry_and_marginals(self, docs, n):
@@ -255,8 +258,38 @@ class TestPersistence:
         assert load_matrix(path).vocab.words == ["ب", "ا"]
 
     @given(documents, st.integers(min_value=2, max_value=4))
+    # Lines end only at \n, \r\n and \r, so these separators stay inside a word.
+    @example(docs=[["w0", "a\x85b", "w1", "c\u2028d"]], n=2)
     def test_round_trip_any_built_matrix(self, tmp_path, docs, n):
         m = build_matrix(docs, n)
         path = tmp_path / "m.tsv"
         save_matrix(m, path)
         assert load_matrix(path) == m
+
+    @given(st.one_of(st.binary(), st.text().map(str.encode)))
+    def test_any_bytes_load_or_raise_format_error(self, tmp_path, data):
+        path = tmp_path / "m.tsv"
+        path.write_bytes(data)
+        try:
+            load_matrix(path)
+        except FormatError:
+            pass
+
+    @given(st.data())
+    def test_damaged_file_loads_or_raises_format_error(self, tmp_path, data):
+        path = tmp_path / "m.tsv"
+        save_matrix(build_matrix([["ب", "ا", "ت", "ب"], ["ت", "ا"]], 3), path)
+        saved = path.read_bytes()
+        offset = data.draw(st.integers(min_value=0, max_value=len(saved) - 1))
+        if data.draw(st.booleans()):
+            damaged = saved[:offset]
+        else:
+            damaged = saved[:offset] + bytes([data.draw(st.integers(0, 255))]) + saved[offset + 1:]
+        path.write_bytes(damaged)
+        try:
+            loaded = load_matrix(path)
+        except FormatError:
+            return
+        # Whatever is accepted is a matrix that saves and loads back unchanged.
+        save_matrix(loaded, path)
+        assert load_matrix(path) == loaded

@@ -1,0 +1,19 @@
+import os
+import subprocess
+import sys
+
+import pytest
+
+from .conftest import REPO_ROOT
+
+DEMOS = sorted((REPO_ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo):
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(demo)], cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr

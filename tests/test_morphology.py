@@ -226,6 +226,22 @@ class TestLoadResources:
             load_resources(tmp_path)
         assert err.value.line == 2
 
+    @given(
+        st.sampled_from(["prefixes.txt", "suffixes.txt", "patterns.txt", "roots.txt"]),
+        st.one_of(
+            st.binary(),
+            st.text().map(str.encode),
+            st.text(alphabet="12345اأبتجوي#\t \n\r\x85").map(str.encode),
+        ),
+    )
+    def test_any_bytes_load_or_raise_format_error(self, tmp_path, name, data):
+        self._write(tmp_path)
+        (tmp_path / name).write_bytes(data)
+        try:
+            load_resources(tmp_path)
+        except FormatError:
+            pass
+
     def test_bundled_resources_are_valid(self, bundled_resources):
         assert "" in bundled_resources.affixes.prefixes
         assert all(3 <= len(r) <= 5 for r in bundled_resources.roots)
