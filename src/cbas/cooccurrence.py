@@ -1,16 +1,23 @@
 """Sliding-window context matrix and PMI / PPMI / SPMI association scores.
 
-Counts are kept exact (Python ints in a sparse dict); probabilities are
-only formed at scoring time, so a matrix scaled by a constant factor
+Counts are kept exact (integers in compressed sparse rows); probabilities
+are only formed at scoring time, so a matrix scaled by a constant factor
 yields identical association scores.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import operator
+import re
+from array import array
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .errors import FormatError, decoding
 
@@ -18,6 +25,17 @@ NEG_INF = float("-inf")
 
 FILE_MAGIC = "CBAS-MATRIX"
 FILE_VERSION = "v1"
+
+# Context indices are C ints (4 bytes), counts and row offsets C long longs.
+MAX_COUNT = 2**63 - 1
+
+# The only integers a matrix file holds: ASCII digits, no sign, no leading
+# zero (0|[1-9][0-9]*, written with a lookahead, which matches faster).
+_INT = "(?!0[0-9])[0-9]+"
+_INT_RE = re.compile(_INT)
+_COUNT_LINES = re.compile(f"(?:{_INT}\t{_INT}\t[1-9][0-9]*\n)*")
+_TO_COMMAS = str.maketrans("\t\n", ",,")
+_BLOCK_CHARS = 1 << 16
 
 
 class Vocabulary:
@@ -69,41 +87,75 @@ class AssociationMeasure:
 class ContextMatrix:
     """Sparse word-by-context co-occurrence counts with cached marginals.
 
-    ``counts`` maps ``(target_index, context_index)`` to a positive int;
-    zero cells are simply absent. Immutable by convention once built.
+    The counts are held as compressed sparse rows: the stored pairs of
+    target ``ti`` are ``row_start[ti]:row_start[ti + 1]`` of ``cols``
+    (context indices, ascending) and ``vals`` (their counts, each >= 1).
+    Zero cells are simply absent. ``counts`` is a read-only
+    ``(target_index, context_index) -> count`` view of the same rows.
+    Immutable by convention once built.
     """
 
     def __init__(
         self,
         window_n: int,
         vocab: Vocabulary,
-        counts: dict[tuple[int, int], int],
+        counts: Mapping[tuple[int, int], int],
     ):
+        size = len(vocab)
+        rows: list[dict[int, int]] = [{} for _ in range(size)]
+        for (ti, ci), c in counts.items():
+            if not (0 <= ti < size and 0 <= ci < size):
+                raise ValueError(f"pair ({ti}, {ci}) is outside the vocabulary of {size} words")
+            if not 1 <= c <= MAX_COUNT:
+                raise ValueError(f"count for pair ({ti}, {ci}) must be in [1, {MAX_COUNT}]")
+            rows[ti][ci] = c
+        self._adopt(window_n, vocab, *_freeze(rows))
+
+    @classmethod
+    def _of_rows(
+        cls, window_n: int, vocab: Vocabulary, row_start: array, cols: array, vals: array
+    ) -> ContextMatrix:
+        """A matrix over CSR arrays that already keep the rules; nothing is copied."""
+        matrix = cls.__new__(cls)
+        matrix._adopt(window_n, vocab, row_start, cols, vals)
+        return matrix
+
+    def _adopt(
+        self, window_n: int, vocab: Vocabulary, row_start: array, cols: array, vals: array
+    ) -> None:
         if window_n < 2:
             raise ValueError(f"window_n must be >= 2, got {window_n}")
         self.window_n = window_n
         self.vocab = vocab
-        self.counts = counts
-        self.target_marginals = [0] * len(vocab)
-        self.context_marginals = [0] * len(vocab)
-        total = 0
-        for (ti, ci), c in counts.items():
-            if c < 1:
-                raise ValueError(f"count for pair ({ti}, {ci}) must be >= 1")
-            self.target_marginals[ti] += c
-            self.context_marginals[ci] += c
-            total += c
-        self.total = total
+        self.row_start, self.cols, self.vals = row_start, cols, vals
+        self.target_marginals = [
+            sum(vals[row_start[ti]:row_start[ti + 1]]) for ti in range(len(vocab))
+        ]
+        self.context_marginals = cms = [0] * len(vocab)
+        for ci, c in zip(cols, vals):
+            cms[ci] += c
+        self.total = sum(self.target_marginals)
         self._alpha_norms: dict[float, float] = {}
 
     # -- lookups -----------------------------------------------------------
+
+    @property
+    def counts(self) -> Mapping[tuple[int, int], int]:
+        return _PairCounts(self)
+
+    def _joint(self, ti: int, ci: int) -> int:
+        if not 0 <= ti < len(self.vocab):
+            return 0
+        end = self.row_start[ti + 1]
+        k = bisect_left(self.cols, ci, self.row_start[ti], end)
+        return self.vals[k] if k < end and self.cols[k] == ci else 0
 
     def count(self, target: str, context: str) -> int:
         ti = self.vocab.index.get(target)
         ci = self.vocab.index.get(context)
         if ti is None or ci is None:
             return 0
-        return self.counts.get((ti, ci), 0)
+        return self._joint(ti, ci)
 
     def target_marginal(self, word: str) -> int:
         idx = self.vocab.index.get(word)
@@ -122,18 +174,60 @@ class ContextMatrix:
         return norm
 
     def __eq__(self, other: object) -> bool:
+        # Rows are sorted, so equal counts mean equal arrays.
         return (
             isinstance(other, ContextMatrix)
             and self.window_n == other.window_n
             and self.vocab == other.vocab
-            and self.counts == other.counts
+            and self.row_start == other.row_start
+            and self.cols == other.cols
+            and self.vals == other.vals
         )
 
     def __repr__(self) -> str:
         return (
             f"ContextMatrix(window_n={self.window_n}, vocab={len(self.vocab)}, "
-            f"pairs={len(self.counts)}, total={self.total})"
+            f"pairs={len(self.cols)}, total={self.total})"
         )
+
+
+class _PairCounts(Mapping):
+    """``ContextMatrix.counts``: its rows seen as ``(ti, ci) -> count``, in
+    ascending pair order. Each lookup searches a row, so scoring reads the
+    rows directly."""
+
+    __slots__ = ("_matrix",)
+
+    def __init__(self, matrix: ContextMatrix):
+        self._matrix = matrix
+
+    def __getitem__(self, pair: tuple[int, int]) -> int:
+        count = self._matrix._joint(*pair)
+        if not count:
+            raise KeyError(pair)
+        return count
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        m = self._matrix
+        for ti in range(len(m.vocab)):
+            for ci in m.cols[m.row_start[ti]:m.row_start[ti + 1]]:
+                yield ti, ci
+
+    def __len__(self) -> int:
+        return len(self._matrix.cols)
+
+
+def _freeze(rows: list) -> tuple[array, array, array]:
+    """CSR arrays of per-target ``{context_index: count}`` dicts. Each dict
+    is dropped from ``rows`` as soon as it is copied."""
+    row_start, cols, vals = array("q", [0]), array("i"), array("q")
+    for ti, row in enumerate(rows):
+        keys = sorted(row)
+        cols.extend(keys)
+        vals.extend(map(row.__getitem__, keys))
+        row_start.append(len(cols))
+        rows[ti] = None
+    return row_start, cols, vals
 
 
 def build_matrix(
@@ -152,17 +246,18 @@ def build_matrix(
     if window_n < 2:
         raise ValueError(f"window_n must be >= 2, got {window_n}")
     vocab = Vocabulary()
-    counts: dict[tuple[int, int], int] = {}
+    rows: list[dict[int, int]] = []  # per target: context index -> count
     reach = window_n - 1
     for words in documents:
         doc = [vocab.add(w) for w in words]
-        n = len(doc)
+        rows.extend({} for _ in range(len(vocab) - len(rows)))
         for i, wi in enumerate(doc):
-            for j in range(max(0, i - reach), min(n, i + reach + 1)):
-                if j != i:
-                    pair = (wi, doc[j])
-                    counts[pair] = counts.get(pair, 0) + 1
-    return ContextMatrix(window_n, vocab, counts)
+            row = rows[wi]
+            for cj in doc[max(0, i - reach):i]:
+                row[cj] = row.get(cj, 0) + 1
+            for cj in doc[i + 1:i + 1 + reach]:
+                row[cj] = row.get(cj, 0) + 1
+    return ContextMatrix._of_rows(window_n, vocab, *_freeze(rows))
 
 
 def association(
@@ -186,32 +281,43 @@ def association(
     ci = matrix.vocab.index.get(c)
     if ti is None or ci is None:
         return NEG_INF if measure.kind == "pmi" else 0.0
-    return association_at(matrix, ti, ci, measure)
+    return association_row(matrix, ti, (ci,), measure)[0]
 
 
-def association_at(
-    matrix: ContextMatrix, ti: int, ci: int, measure: AssociationMeasure
-) -> float:
-    """``association`` of the words at vocabulary indices ``ti`` and ``ci``.
+def association_row(
+    matrix: ContextMatrix, ti: int, contexts: Sequence[int], measure: AssociationMeasure
+) -> list[float]:
+    """``association`` of the word at vocabulary index ``ti`` with each word
+    at the indices ``contexts``, in order.
 
     This is where the measures are defined; ``association`` only looks the
-    two words up.
+    two words up. The row of ``ti`` is found once and each context index
+    is searched in it.
     """
     if matrix.total == 0:
         raise ValueError("association is undefined on an empty matrix")
-    joint = matrix.counts.get((ti, ci), 0)
-    if joint == 0:
-        return NEG_INF if measure.kind == "pmi" else 0.0
+    kind = measure.kind
+    alpha = measure.alpha
+    if kind == "spmi":
+        norm = matrix.context_alpha_norm(alpha)
+    cols, vals, cms = matrix.cols, matrix.vals, matrix.context_marginals
+    start, end = matrix.row_start[ti], matrix.row_start[ti + 1]
     tm = matrix.target_marginals[ti]
-    cm = matrix.context_marginals[ci]
-    if measure.kind == "spmi":
-        norm = matrix.context_alpha_norm(measure.alpha)
-        value = math.log2((joint * norm) / (tm * cm**measure.alpha))
-        return max(value, 0.0)
-    value = math.log2((joint * matrix.total) / (tm * cm))
-    if measure.kind == "ppmi":
-        return max(value, 0.0)
-    return value
+    missing = NEG_INF if kind == "pmi" else 0.0
+    scores = []
+    for ci in contexts:
+        k = bisect_left(cols, ci, start, end)
+        if k == end or cols[k] != ci:
+            scores.append(missing)
+            continue
+        joint = vals[k]
+        cm = cms[ci]
+        if kind == "spmi":
+            scores.append(max(math.log2((joint * norm) / (tm * cm**alpha)), 0.0))
+            continue
+        value = math.log2((joint * matrix.total) / (tm * cm))
+        scores.append(max(value, 0.0) if kind == "ppmi" else value)
+    return scores
 
 
 # -- persistence ------------------------------------------------------------
@@ -219,7 +325,7 @@ def association_at(
 
 def save_matrix(matrix: ContextMatrix, destination: str | Path) -> None:
     """Write the documented TSV format; triplets sorted by (target, context)."""
-    counts = matrix.counts
+    row_start, cols, vals = matrix.row_start, matrix.cols, matrix.vals
     with open(destination, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
             f"{FILE_MAGIC}\t{FILE_VERSION}\twindow={matrix.window_n}"
@@ -227,28 +333,31 @@ def save_matrix(matrix: ContextMatrix, destination: str | Path) -> None:
         )
         for idx, word in enumerate(matrix.vocab.words):
             fh.write(f"{idx}\t{word}\n")
-        for pair in sorted(counts):
-            fh.write(f"{pair[0]}\t{pair[1]}\t{counts[pair]}\n")
+        for ti in range(len(matrix.vocab)):
+            a, b = row_start[ti], row_start[ti + 1]
+            fh.writelines(f"{ti}\t{ci}\t{c}\n" for ci, c in zip(cols[a:b], vals[a:b]))
 
 
 def _header_field(field_text: str, name: str, path: str) -> int:
     prefix = name + "="
     if not field_text.startswith(prefix):
         raise FormatError(f"expected header field {name}=..., got {field_text!r}", path=path, line=1)
+    digits = field_text[len(prefix):]
+    if not _INT_RE.fullmatch(digits):
+        raise FormatError(f"header field {name} is not a plain integer", path=path, line=1)
     try:
-        value = int(field_text[len(prefix):])
-    except ValueError:
-        raise FormatError(f"header field {name} is not an integer", path=path, line=1) from None
-    if value < 0:
-        raise FormatError(f"header field {name} must be >= 0", path=path, line=1)
-    return value
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise FormatError(f"header field {name} is too large", path=path, line=1) from None
 
 
 def load_matrix(source: str | Path) -> ContextMatrix:
     """Read a matrix file, validating structure and the declared total.
 
-    The file is parsed as it is read. Lines end only at ``\n``, ``\r\n``
-    or ``\r``, so a vocabulary word may hold any other line separator.
+    Lines end only at ``\n``, ``\r\n`` or ``\r``, so a vocabulary word may
+    hold any other line separator. The count lines are checked and
+    converted in blocks; only a file that breaks a rule is read again line
+    by line, to name the first bad line.
     """
     path = str(source)
     with decoding(path), open(source, encoding="utf-8") as fh:
@@ -275,38 +384,80 @@ def load_matrix(source: str | Path) -> ContextMatrix:
             fields = line.rstrip("\n").split("\t")
             if len(fields) != 2:
                 raise FormatError("vocabulary line must be <index>\\t<word>", path=path, line=lineno)
-            try:
-                idx = int(fields[0])
-            except ValueError:
-                raise FormatError("vocabulary index is not an integer", path=path, line=lineno) from None
-            if idx != len(vocab):
+            if fields[0] != str(len(vocab)):
+                if not _INT_RE.fullmatch(fields[0]):
+                    raise FormatError("vocabulary index is not a plain integer", path=path, line=lineno)
                 raise FormatError(f"vocabulary index out of order (expected {len(vocab)})", path=path, line=lineno)
             word = fields[1]
             if not word or word in vocab:
                 raise FormatError(f"empty or duplicate vocabulary word {word!r}", path=path, line=lineno)
             vocab.add(word)
 
-        counts: dict[tuple[int, int], int] = {}
-        for lineno, line in enumerate(fh, start=2 + vocab_size):
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 3:
-                raise FormatError("count line must be <target>\\t<context>\\t<count>", path=path, line=lineno)
-            try:
-                ti, ci, c = map(int, fields)
-            except ValueError:
-                raise FormatError("count line fields must be integers", path=path, line=lineno) from None
-            if not (0 <= ti < vocab_size and 0 <= ci < vocab_size):
-                raise FormatError("word index out of range", path=path, line=lineno)
-            if c < 1:
-                raise FormatError("stored counts must be >= 1", path=path, line=lineno)
-            pair = (ti, ci)
-            if pair in counts:
-                raise FormatError("duplicate (target, context) pair", path=path, line=lineno)
-            counts[pair] = c
+        counts_at = fh.tell()
+        rows = _read_count_blocks(fh, vocab_size)
+        if rows is None:
+            fh.seek(counts_at)
+            _raise_at_first_bad_count_line(fh, 2 + vocab_size, vocab_size, path)
 
-    matrix = ContextMatrix(window_n, vocab, counts)
+    matrix = ContextMatrix._of_rows(window_n, vocab, *rows)
     if matrix.total != total:
         raise FormatError(
             f"counts sum to {matrix.total} but header declares total={total}", path=path
         )
     return matrix
+
+
+def _read_count_blocks(fh, vocab_size: int) -> tuple[array, array, array] | None:
+    """The CSR arrays of the count lines left in ``fh``, read in blocks of
+    lines; None when any line breaks a rule of ``_raise_at_first_bad_count_line``."""
+    targets, cols, vals = array("i"), array("i"), array("q")
+    while True:
+        lines = fh.readlines(_BLOCK_CHARS)
+        if not lines:
+            break
+        block = "".join(lines)
+        if not block.endswith("\n"):
+            block += "\n"  # the file's last line may lack its end
+        if not _COUNT_LINES.fullmatch(block):
+            return None
+        try:
+            # Only digits, tabs and line ends are left: read the block as one
+            # JSON array, whose integers are converted in C.
+            numbers = json.loads(f"[{block.translate(_TO_COMMAS)[:-1]}]")
+            targets.extend(numbers[0::3])
+            cols.extend(numbers[1::3])
+            vals.extend(numbers[2::3])
+        except (OverflowError, ValueError):  # too large for an array, or for int()
+            return None
+    pairs = zip(targets, cols)
+    if not all(map(operator.lt, pairs, zip(islice(targets, 1, None), islice(cols, 1, None)))):
+        return None
+    if targets and (targets[-1] >= vocab_size or max(cols) >= vocab_size):
+        return None
+    row_start = array("q", [bisect_left(targets, ti) for ti in range(vocab_size + 1)])
+    return row_start, cols, vals
+
+
+def _raise_at_first_bad_count_line(fh, lineno: int, vocab_size: int, path: str) -> None:
+    """Raise a FormatError at the first count line in ``fh`` that breaks a rule."""
+    prev = None
+    for lineno, line in enumerate(fh, start=lineno):
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != 3:
+            raise FormatError("count line must be <target>\\t<context>\\t<count>", path=path, line=lineno)
+        if not all(map(_INT_RE.fullmatch, fields)):
+            raise FormatError("count line fields must be plain integers", path=path, line=lineno)
+        # A field of 20 digits or more is out of range, and int() may refuse it.
+        ti, ci, c = (int(f) if len(f) < 20 else MAX_COUNT + 1 for f in fields)
+        if not (ti < vocab_size and ci < vocab_size):
+            raise FormatError("word index out of range", path=path, line=lineno)
+        if c < 1:
+            raise FormatError("stored counts must be >= 1", path=path, line=lineno)
+        if c > MAX_COUNT:
+            raise FormatError(f"stored counts must be <= {MAX_COUNT}", path=path, line=lineno)
+        pair = (ti, ci)
+        if pair == prev:
+            raise FormatError("duplicate (target, context) pair", path=path, line=lineno)
+        if prev is not None and pair < prev:
+            raise FormatError("count lines must be in ascending (target, context) order", path=path, line=lineno)
+        prev = pair

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .cooccurrence import AssociationMeasure, ContextMatrix, Vocabulary, association_at
+from .cooccurrence import AssociationMeasure, ContextMatrix, Vocabulary, association_row
 # Scoring no longer calls ``association`` by word, but the name stays
 # importable from here: bench/tracing.py wraps it at this module.
 from .cooccurrence import association  # noqa: F401
@@ -105,9 +105,12 @@ def _mean_association(
     if not n_context:
         return 0.0
     total = 0.0
-    for ti in derived:
-        for ci in context:
-            total += association_at(matrix, ti, ci, measure)
+    # No in-vocabulary context word means no pair is scored, so an empty
+    # matrix is no error here.
+    if context:
+        for ti in derived:
+            for value in association_row(matrix, ti, context, measure):
+                total += value
     return total / (max(len(derived), 1) * n_context)
 
 

@@ -365,6 +365,27 @@ class TestStrictJson:
         assert all(s is None or isinstance(s, float) for s in scores)
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        # int() reads each of these integers; save_matrix writes none of them.
+        ("CBAS-MATRIX\tv1\twindow=+2\ttotal=1_0\tvocab=٢\n0\ta\n 1\tb\n0\t1\t1_0\n", 1,
+         "header field window is not a plain integer"),
+        ("CBAS-MATRIX\tv1\twindow=2\ttotal=2\tvocab=2\n0\ta\n1\tb\n1\t0\t1\n0\t1\t1\n", 5,
+         "count lines must be in ascending (target, context) order"),
+    ],
+    ids=["lenient-integers", "out-of-order"],
+)
+def test_matrix_that_would_not_save_back_is_format_error(workspace, capsys, text, line, message):
+    matrix = workspace / "matrix.tsv"
+    matrix.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(stem_args(workspace, "--text", "وقال")) == 2
+    err = capsys.readouterr().err
+    assert f"{matrix}:{line}: {message}" in err
+    assert "Traceback" not in err
+
+
 BAD_UTF8 = "سطر سليم\n".encode("utf-8") + b"\xff\xfe \xd8\n"
 
 

@@ -1,4 +1,6 @@
 import math
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
@@ -9,6 +11,7 @@ from cbas.cooccurrence import (
     ContextMatrix,
     Vocabulary,
     association,
+    association_row,
     build_matrix,
     load_matrix,
     save_matrix,
@@ -20,6 +23,26 @@ from .oracles import oracle_association, window_pairs
 
 words = st.sampled_from([f"w{i}" for i in range(8)])
 documents = st.lists(st.lists(words, max_size=12), max_size=5)
+
+VALID_FILE = "CBAS-MATRIX\tv1\twindow=2\ttotal=10\tvocab=2\n0\ta\n1\tb\n0\t1\t10\n"
+
+
+def normalised(data: bytes) -> bytes:
+    """``data`` with every line ending in ``\\n``, as ``save_matrix`` writes it."""
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data if data.endswith(b"\n") else data + b"\n"
+
+
+def assert_saves_back(path, data: bytes) -> None:
+    """Load the file holding ``data``: it is refused with a FormatError, or it
+    saves back to the same bytes once its line ends are normalised."""
+    try:
+        loaded = load_matrix(path)
+    except FormatError:
+        return
+    save_matrix(loaded, path)
+    assert path.read_bytes() == normalised(data)
+    assert load_matrix(path) == loaded
 
 
 class TestBuildMatrix:
@@ -135,11 +158,37 @@ class TestAssociation:
                 assert association(count_matrix, w, c, spmi1) == pytest.approx(
                     association(count_matrix, w, c, ppmi), abs=1e-12
                 )
+        # A whole row scores exactly as each pair does alone, and as the
+        # measure's float expression written out.
+        m = count_matrix
+        every = range(len(m.vocab))
+        measures = [AssociationMeasure("pmi"), ppmi, AssociationMeasure("spmi", 0.75), spmi1]
+        for ti, w in enumerate(m.vocab.words):
+            for measure in measures:
+                row = association_row(m, ti, every, measure)
+                assert row == [association(m, w, c, measure) for c in m.vocab.words]
+                for ci, c in enumerate(m.vocab.words):
+                    joint, tm, cm = m.count(w, c), m.target_marginals[ti], m.context_marginals[ci]
+                    if joint == 0:
+                        want = float("-inf") if measure.kind == "pmi" else 0.0
+                    elif measure.kind == "spmi":
+                        norm = m.context_alpha_norm(measure.alpha)
+                        want = max(math.log2((joint * norm) / (tm * cm**measure.alpha)), 0.0)
+                    else:
+                        want = math.log2((joint * m.total) / (tm * cm))
+                        want = max(want, 0.0) if measure.kind == "ppmi" else want
+                    assert row[ci] == want
+        assert float("-inf") in association_row(m, 0, every, measures[0])
 
     def test_empty_matrix_rejected(self):
         m = ContextMatrix(2, Vocabulary(["a"]), {})
         with pytest.raises(ValueError):
             association(m, "a", "a", AssociationMeasure("ppmi"))
+
+    @pytest.mark.parametrize("pair", [(0, 5), (5, 0), (-1, 0), (0, -1), (1, 1)])
+    def test_constructor_rejects_indices_outside_the_vocabulary(self, pair):
+        with pytest.raises(ValueError, match="outside the vocabulary"):
+            ContextMatrix(2, Vocabulary(["a"]), {pair: 1})
 
     def test_measure_validation(self):
         with pytest.raises(ValueError):
@@ -251,11 +300,94 @@ class TestPersistence:
             load_matrix(path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize(
+        "old, new, line",
+        [
+            ("window=2", "window=+2", 1),
+            ("total=10", "total=1_0", 1),
+            ("vocab=2", "vocab=٢", 1),
+            ("total=10", "total=010", 1),
+            ("total=10", "total= 10", 1),
+            ("\n1\tb", "\n 1\tb", 3),
+            ("\n1\tb", "\n01\tb", 3),
+            ("\t1\t10", "\t1\t1_0", 4),
+            ("\t1\t10", "\t1\t+10", 4),
+            ("\t1\t10", "\t1\t010", 4),
+            ("\t1\t10", "\t١\t10", 4),
+            ("\n0\t1", "\n00\t1", 4),
+        ],
+    )
+    def test_only_plain_integers_are_accepted(self, tmp_path, old, new, line):
+        path = tmp_path / "m.tsv"
+        path.write_text(VALID_FILE.replace(old, new, 1), encoding="utf-8")
+        with pytest.raises(FormatError, match="plain integer") as err:
+            load_matrix(path)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("1\t0\t1\n0\t1\t1\n", "count lines must be in ascending (target, context) order"),
+            ("0\t1\t1\n0\t0\t1\n", "count lines must be in ascending (target, context) order"),
+            ("0\t1\t1\n0\t1\t1\n", "duplicate (target, context) pair"),
+        ],
+    )
+    def test_count_lines_out_of_order_rejected(self, tmp_path, lines, message):
+        path = tmp_path / "m.tsv"
+        path.write_text("CBAS-MATRIX\tv1\twindow=2\ttotal=2\tvocab=2\n0\ta\n1\tb\n" + lines, encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            load_matrix(path)
+        assert err.value.line == 5
+        assert str(err.value) == f"{path}:5: {message}"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("119\t1\t0", "stored counts must be >= 1"),
+            ("119\t1\t9223372036854775808", "stored counts must be <= 9223372036854775807"),
+            ("119\t120\t1", "word index out of range"),
+            ("119\t" + "9" * 5000 + "\t1", "word index out of range"),
+            ("119\t1", "count line must be <target>\\t<context>\\t<count>"),
+        ],
+        ids=["zero", "too-large-count", "index-at-vocab-size", "5000-digit-index", "two-fields"],
+    )
+    def test_bad_count_line_after_good_blocks_is_named(self, tmp_path, line, message):
+        # The good lines fill more than one block, so the bad line is met by a
+        # later read, after earlier blocks were converted.
+        vocab = 120
+        words = "".join(f"{i}\tw{i}\n" for i in range(vocab))
+        good = [f"{t}\t{c}\t1\n" for t in range(vocab - 1) for c in range(vocab)]
+        assert sum(map(len, good)) > 64 * 1024
+        path = tmp_path / "m.tsv"
+        path.write_text(
+            f"CBAS-MATRIX\tv1\twindow=2\ttotal={len(good) + 1}\tvocab={vocab}\n{words}"
+            + "".join(good) + line + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(FormatError) as err:
+            load_matrix(path)
+        assert str(err.value) == f"{path}:{2 + vocab + len(good)}: {message}"
+
     def test_vocabulary_order_preserved(self, tmp_path):
         m = build_matrix([["ب", "ا"]], 2)
         path = tmp_path / "m.tsv"
         save_matrix(m, path)
         assert load_matrix(path).vocab.words == ["ب", "ا"]
+
+    def test_loaded_matrix_is_compact(self, tmp_path):
+        rng = random.Random(0)
+        docs = [[f"w{rng.randrange(3000)}" for _ in range(1000)] for _ in range(14)]
+        path = tmp_path / "m.tsv"
+        save_matrix(build_matrix(docs, 3), path)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            matrix = load_matrix(path)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(matrix.counts) >= 50_000
+        assert held / len(matrix.counts) <= 32
 
     @given(documents, st.integers(min_value=2, max_value=4))
     # Lines end only at \n, \r\n and \r, so these separators stay inside a word.
@@ -267,13 +399,13 @@ class TestPersistence:
         assert load_matrix(path) == m
 
     @given(st.one_of(st.binary(), st.text().map(str.encode)))
+    @example(data=VALID_FILE.encode())
+    @example(data=VALID_FILE.replace("\n", "\r\n").encode())
+    @example(data=VALID_FILE[:-1].encode())
     def test_any_bytes_load_or_raise_format_error(self, tmp_path, data):
         path = tmp_path / "m.tsv"
         path.write_bytes(data)
-        try:
-            load_matrix(path)
-        except FormatError:
-            pass
+        assert_saves_back(path, data)
 
     @given(st.data())
     def test_damaged_file_loads_or_raises_format_error(self, tmp_path, data):
@@ -281,15 +413,13 @@ class TestPersistence:
         save_matrix(build_matrix([["ب", "ا", "ت", "ب"], ["ت", "ا"]], 3), path)
         saved = path.read_bytes()
         offset = data.draw(st.integers(min_value=0, max_value=len(saved) - 1))
-        if data.draw(st.booleans()):
+        damage = data.draw(st.sampled_from(["truncate", "replace", "insert"]))
+        if damage == "truncate":
             damaged = saved[:offset]
-        else:
+        elif damage == "replace":
             damaged = saved[:offset] + bytes([data.draw(st.integers(0, 255))]) + saved[offset + 1:]
+        else:  # spellings int() accepts but save_matrix never writes
+            extra = data.draw(st.sampled_from(["0", "+", "_", " ", "٢", "\r"])).encode()
+            damaged = saved[:offset] + extra + saved[offset:]
         path.write_bytes(damaged)
-        try:
-            loaded = load_matrix(path)
-        except FormatError:
-            return
-        # Whatever is accepted is a matrix that saves and loads back unchanged.
-        save_matrix(loaded, path)
-        assert load_matrix(path) == loaded
+        assert_saves_back(path, damaged)
