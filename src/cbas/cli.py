@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import cooccurrence, corpus, disambiguation, evaluation, morphology
-from .errors import FormatError, decoding
+from .errors import FormatError, open_text, read_lines
 
 DEFAULT_WINDOW = 3
 DEFAULT_MEASURE = "spmi"
@@ -60,18 +60,14 @@ def _positive_int(text: str) -> int:
 
 def _load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with decoding(path), open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise FormatError("expected key=value", path=path, line=lineno)
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _CONFIG_KEYS:
-                raise FormatError(f"unknown config key {key!r}", path=path, line=lineno)
-            values[key] = value
+    for lineno, line in read_lines(path):
+        if "=" not in line:
+            raise FormatError("expected key=value", path=path, line=lineno)
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in _CONFIG_KEYS:
+            raise FormatError(f"unknown config key {key!r}", path=path, line=lineno)
+        values[key] = value
     return values
 
 
@@ -189,8 +185,8 @@ def cmd_stem(args: argparse.Namespace) -> int:
         except UnicodeEncodeError:  # argv bytes that are not UTF-8 arrive as lone surrogates
             raise UsageError("--text is not valid UTF-8") from None
     else:
-        with decoding(args.file):
-            text = Path(args.file).read_text(encoding="utf-8")
+        with open_text(args.file) as fh:
+            text = fh.read()
     results = stemmer.stem_text(text)
     for result in results:
         print(json.dumps(_result_record(result), ensure_ascii=False, sort_keys=True, allow_nan=False))
@@ -274,6 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
             help="accepted for compatibility; work runs serially (default 1)",
         )
 
+    def scoring(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--matrix", help="context-matrix file")
+        p.add_argument("--resources", help="resource directory (default: $CBAS_RESOURCES or bundled)")
+        p.add_argument("--stopwords", help="stopword file (default: bundled list)")
+        p.add_argument("--measure", choices=("pmi", "ppmi", "spmi"), help=f"association measure (default {DEFAULT_MEASURE})")
+        p.add_argument("--alpha", type=float, help=f"spmi smoothing exponent (default {DEFAULT_ALPHA})")
+        p.add_argument("--context", choices=disambiguation.CONTEXT_MODES, help=f"scoring context (default {DEFAULT_CONTEXT})")
+
     p = sub.add_parser("build-matrix", help="count co-occurrences over a corpus")
     p.add_argument("--corpus", required=True, help="corpus directory or line-per-document file")
     p.add_argument(
@@ -289,12 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build_matrix)
 
     p = sub.add_parser("stem", help="stem words in context, one JSON record per token")
-    p.add_argument("--matrix", help="context-matrix file")
-    p.add_argument("--resources", help="resource directory (default: $CBAS_RESOURCES or bundled)")
-    p.add_argument("--stopwords", help="stopword file (default: bundled list)")
-    p.add_argument("--measure", choices=("pmi", "ppmi", "spmi"), help=f"association measure (default {DEFAULT_MEASURE})")
-    p.add_argument("--alpha", type=float, help=f"spmi smoothing exponent (default {DEFAULT_ALPHA})")
-    p.add_argument("--context", choices=disambiguation.CONTEXT_MODES, help=f"scoring context (default {DEFAULT_CONTEXT})")
+    scoring(p)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--text", help="text to stem")
     source.add_argument("--file", help="UTF-8 file to stem")
@@ -303,12 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="score the stemmer against a gold word/root file")
     p.add_argument("--gold", required=True, help="gold TSV: word<TAB>root, empty root allowed")
-    p.add_argument("--matrix", help="context-matrix file")
-    p.add_argument("--resources", help="resource directory (default: $CBAS_RESOURCES or bundled)")
-    p.add_argument("--stopwords", help="stopword file (default: bundled list)")
-    p.add_argument("--measure", choices=("pmi", "ppmi", "spmi"), help=f"association measure (default {DEFAULT_MEASURE})")
-    p.add_argument("--alpha", type=float, help=f"spmi smoothing exponent (default {DEFAULT_ALPHA})")
-    p.add_argument("--context", choices=disambiguation.CONTEXT_MODES, help=f"scoring context (default {DEFAULT_CONTEXT})")
+    scoring(p)
     common(p)
     p.set_defaults(func=cmd_evaluate)
 

@@ -292,10 +292,9 @@ def association_row(
 
     This is where the measures are defined; ``association`` only looks the
     two words up. The row of ``ti`` is found once and each context index
-    is searched in it.
+    is searched in it. A matrix with total 0 stores no pair, so there every
+    score is that of a pair that never co-occurs.
     """
-    if matrix.total == 0:
-        raise ValueError("association is undefined on an empty matrix")
     kind = measure.kind
     alpha = measure.alpha
     if kind == "spmi":

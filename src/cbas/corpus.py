@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import FormatError, decoding
+from .errors import FormatError, open_text, read_lines
 
 # Arabic letters after normalization fall in U+0621..U+064A.
 _ARABIC_LETTER = re.compile(r"^[ء-ي]+$")
@@ -127,16 +127,8 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     Entries are normalized on load so membership tests run against
     normalized tokens.
     """
-    entries: set[str] = set()
-    with decoding(path), open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            entry = normalize(line)
-            if entry:
-                entries.add(entry)
-    return frozenset(entries)
+    entries = (normalize(line) for _, line in read_lines(path))
+    return frozenset(entry for entry in entries if entry)
 
 
 def read_corpus(path: str | Path, fmt: str = "auto") -> list[RawDocument]:
@@ -154,14 +146,14 @@ def read_corpus(path: str | Path, fmt: str = "auto") -> list[RawDocument]:
             raise FormatError("corpus path is not a directory", path=str(path))
         docs = []
         for child in sorted(p for p in path.iterdir() if p.is_file()):
-            with decoding(child):
-                docs.append(RawDocument(child.name, child.read_text(encoding="utf-8")))
+            with open_text(child) as fh:
+                docs.append(RawDocument(child.name, fh.read()))
         return docs
     if fmt == "lines":
         if not path.is_file():
             raise FormatError("corpus path is not a file", path=str(path))
         docs = []
-        with decoding(path), open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for i, line in enumerate(fh, start=1):
                 line = line.strip()
                 if line:

@@ -105,12 +105,9 @@ def _mean_association(
     if not n_context:
         return 0.0
     total = 0.0
-    # No in-vocabulary context word means no pair is scored, so an empty
-    # matrix is no error here.
-    if context:
-        for ti in derived:
-            for value in association_row(matrix, ti, context, measure):
-                total += value
+    for ti in derived:
+        for value in association_row(matrix, ti, context, measure):
+            total += value
     return total / (max(len(derived), 1) * n_context)
 
 

@@ -1,10 +1,15 @@
-"""Shared exception types."""
+"""Shared exception types, and the readers of every text input.
+
+Corpora, stopword, resource, config and gold files and ``stem --file`` are
+opened by ``open_text``; the entry files among them are read by
+``read_lines``. The matrix file has its own strict loader in ``cooccurrence``.
+"""
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, TextIO
 
 
 class FormatError(ValueError):
@@ -48,3 +53,21 @@ def _first_invalid_line(path: str | Path) -> int | None:
         except UnicodeDecodeError:
             return lineno
     return None
+
+
+@contextmanager
+def open_text(path: str | Path) -> Iterator[TextIO]:
+    """Open a text input: UTF-8, a leading byte-order mark dropped, and a
+    decoding error reported as a FormatError naming the file and line."""
+    with decoding(path), open(path, encoding="utf-8-sig") as fh:
+        yield fh
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """The entries of an entry file as (1-based line number, stripped
+    line), skipping blank lines and lines that start with ``#``."""
+    with open_text(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                yield lineno, line

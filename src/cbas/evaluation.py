@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .corpus import normalize
-from .errors import FormatError, decoding
+from .errors import FormatError, open_text
 
 # Extracted label for words the stemmer could not root; Arabic gold labels
 # can never collide with it, and each word gets its own singleton cluster.
@@ -75,7 +75,7 @@ def build_clusters(assignments: Mapping[str, str]) -> ClusterSet:
 
 
 def _parse_gold(path: str | Path) -> Iterable[GoldPair]:
-    with decoding(path), open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.startswith("#"):

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
 from .corpus import is_arabic_word, normalize
-from .errors import FormatError, decoding
+from .errors import FormatError, read_lines
 
 WEAK_LETTERS = "اوي"  # ا و ي
 
@@ -297,17 +296,9 @@ def generate_candidates(word: str, resources: MorphResources) -> list[CandidateR
 # -- resource files ----------------------------------------------------------
 
 
-def _read_lines(path: Path) -> Iterable[tuple[int, str]]:
-    with decoding(path), open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                yield lineno, line
-
-
 def _load_affix_file(path: Path) -> frozenset[str]:
     entries = {""}
-    for lineno, line in _read_lines(path):
+    for lineno, line in read_lines(path):
         entry = normalize(line)
         if not entry or not is_arabic_word(entry):
             raise FormatError(
@@ -332,12 +323,12 @@ def load_resources(resource_dir: str | Path) -> MorphResources:
     patterns_path = resource_dir / "patterns.txt"
     patterns = [
         parse_pattern(normalize(line), path=str(patterns_path), lineno=lineno)
-        for lineno, line in _read_lines(patterns_path)
+        for lineno, line in read_lines(patterns_path)
     ]
 
     roots_path = resource_dir / "roots.txt"
     roots = set()
-    for lineno, line in _read_lines(roots_path):
+    for lineno, line in read_lines(roots_path):
         root = normalize(line)
         if not is_arabic_word(root):
             raise FormatError(

@@ -347,6 +347,17 @@ class TestDeterminism:
         assert "--jobs" in capsys.readouterr().err
 
 
+def _strict_scores(out):
+    """Every candidate score in ``stem`` output, parsed by a JSON parser
+    that rejects the non-finite constants."""
+
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    records = [json.loads(line, parse_constant=reject) for line in out.splitlines()]
+    return [cand["score"] for record in records for cand in record["candidates"]]
+
+
 class TestStrictJson:
     def test_pmi_minus_infinity_is_written_as_null(self, tmp_path, capsys):
         # An in-vocabulary derivation that never co-occurs with the
@@ -355,14 +366,32 @@ class TestStrictJson:
         assert main(["build-matrix", "--corpus", str(DATA_DIR / "sample_corpus"), "--out", str(matrix)]) == 0
         capsys.readouterr()
         assert main(["stem", "--matrix", str(matrix), "--text", "وقال مدرب الفريق", "--measure", "pmi"]) == 0
-
-        def reject(constant):
-            raise ValueError(f"non-finite JSON constant {constant}")
-
-        records = [json.loads(line, parse_constant=reject) for line in capsys.readouterr().out.splitlines()]
-        scores = [cand["score"] for record in records for cand in record["candidates"]]
+        scores = _strict_scores(capsys.readouterr().out)
         assert None in scores
         assert all(s is None or isinstance(s, float) for s in scores)
+
+    def test_empty_matrix_scores_as_pairs_that_never_co_occur(self, tmp_path, capsys):
+        # One-word documents give a vocabulary but no pair: total 0.
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.txt").write_text("قال\n", encoding="utf-8")
+        (corpus / "b.txt").write_text("كتب\n", encoding="utf-8")
+        matrix = tmp_path / "m.tsv"
+        assert main(["build-matrix", "--corpus", str(corpus), "--out", str(matrix)]) == 0
+        assert "total\t0\n" in capsys.readouterr().out
+        scoring = ["--matrix", str(matrix), "--context", "window"]
+        for measure in ("pmi", "ppmi", "spmi"):
+            assert main(["stem", *scoring, "--text", "قال كتب", "--measure", measure]) == 0
+            scores = _strict_scores(capsys.readouterr().out)
+            if measure == "pmi":
+                assert None in scores
+                assert set(scores) <= {None, 0.0}
+            else:
+                assert scores and set(scores) == {0.0}
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("قال\tقول\nكتب\tكتب\n", encoding="utf-8")
+        assert main(["evaluate", *scoring, "--gold", str(gold), "--measure", "pmi"]) == 0
+        assert "METRIC\tn\t2\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -413,7 +442,7 @@ def _bad_reader_case(ws, reader):
         return bad, stem_args(ws, "--text", "وقال")
     if reader == "config":
         bad = ws / "cbas.conf"
-        return bad, stem_args(ws, "--text", "وقال", "--config", str(bad))
+        return bad, stem_args(ws, "--text", "الرجل يقول الحق", "--config", str(bad))
     if reader == "stem-file":
         bad = ws / "article.txt"
         return bad, stem_args(ws, "--file", str(bad))
@@ -431,6 +460,48 @@ def test_invalid_utf8_is_format_error_with_path_and_line(workspace, capsys, read
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"{bad}:2: not valid UTF-8" in err
+    assert "Traceback" not in err
+
+
+# Text that each text reader reads, written so that its first line changes
+# the output: a BOM read as part of that line would show.
+FIRST_LINE_MATTERS = {
+    "corpus-dir": "قال المدرب\n",
+    "corpus-lines": "قال المدرب\nكتب الرجل الدرس\n",
+    "stopwords": "الرجل\nفي\n",
+    "resources": TOY_FILES["roots.txt"],
+    "gold": "الرجل\tرجل\nيقول\tقول\n",
+    "config": "measure=pmi\ncontext=window\n",
+    "stem-file": "الرجل يقول الحق\n",
+}
+
+
+@pytest.mark.parametrize("reader", sorted(FIRST_LINE_MATTERS))
+def test_text_inputs_drop_a_leading_bom(workspace, capsys, reader):
+    path, argv = _bad_reader_case(workspace, reader)
+    text = FIRST_LINE_MATTERS[reader]
+    out_file = workspace / "x.tsv"
+
+    def run(data):
+        path.write_bytes(data)
+        out_file.unlink(missing_ok=True)
+        capsys.readouterr()
+        code = main(argv)
+        return code, capsys.readouterr().out, out_file.read_bytes() if out_file.exists() else None
+
+    plain = run(text.encode("utf-8"))
+    assert plain[0] == 0
+    assert run(b"\xef\xbb\xbf" + text.encode("utf-8")) == plain
+    assert run(text.split("\n", 1)[1].encode("utf-8")) != plain
+
+
+def test_matrix_with_a_bom_is_format_error(workspace, capsys):
+    matrix = workspace / "matrix.tsv"
+    matrix.write_bytes(b"\xef\xbb\xbf" + matrix.read_bytes())
+    capsys.readouterr()
+    assert main(stem_args(workspace, "--text", "وقال")) == 2
+    err = capsys.readouterr().err
+    assert f"{matrix}:1: not a context-matrix file" in err
     assert "Traceback" not in err
 
 
