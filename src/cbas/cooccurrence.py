@@ -281,42 +281,63 @@ def association(
     ci = matrix.vocab.index.get(c)
     if ti is None or ci is None:
         return NEG_INF if measure.kind == "pmi" else 0.0
-    return association_row(matrix, ti, (ci,), measure)[0]
+    return association_total(matrix, (ti,), (ci,), measure)
 
 
 def association_row(
     matrix: ContextMatrix, ti: int, contexts: Sequence[int], measure: AssociationMeasure
 ) -> list[float]:
     """``association`` of the word at vocabulary index ``ti`` with each word
-    at the indices ``contexts``, in order.
+    at the indices ``contexts``, in order."""
+    return [association_total(matrix, (ti,), (ci,), measure) for ci in contexts]
 
-    This is where the measures are defined; ``association`` only looks the
-    two words up. The row of ``ti`` is found once and each context index
-    is searched in it. A matrix with total 0 stores no pair, so there every
-    score is that of a pair that never co-occurs.
+
+def association_total(
+    matrix: ContextMatrix,
+    targets: Iterable[int],
+    contexts: Sequence[int],
+    measure: AssociationMeasure,
+) -> float:
+    """Sum of the association of every target index with every context index.
+
+    This is where the measures are defined; ``association`` and
+    ``association_row`` are sums of one pair. Targets are the outer loop
+    and contexts the inner one, so the float sum is always formed in the
+    same order. Each target's row is found once and each context index is
+    searched in it. Under ppmi and spmi a pair scores max(value, 0), so
+    a pair that scores 0, and every pair that never co-occurs, is skipped:
+    adding 0.0 changes no sum. Under pmi a pair that never co-occurs
+    scores -inf, so the sum is -inf at the first one (no pair scores
+    +inf). A matrix with total 0 stores no pair, so there every pair is
+    one that never co-occurs.
+
+    pmi and ppmi share spmi's expression with ``norm`` = total and an
+    exponent of 1: ``cm ** 1`` is the integer ``cm`` itself, so the values
+    are those of log2(joint * total / (tm * cm)).
     """
     kind = measure.kind
-    alpha = measure.alpha
     if kind == "spmi":
-        norm = matrix.context_alpha_norm(alpha)
-    cols, vals, cms = matrix.cols, matrix.vals, matrix.context_marginals
-    start, end = matrix.row_start[ti], matrix.row_start[ti + 1]
-    tm = matrix.target_marginals[ti]
-    missing = NEG_INF if kind == "pmi" else 0.0
-    scores = []
-    for ci in contexts:
-        k = bisect_left(cols, ci, start, end)
-        if k == end or cols[k] != ci:
-            scores.append(missing)
-            continue
-        joint = vals[k]
-        cm = cms[ci]
-        if kind == "spmi":
-            scores.append(max(math.log2((joint * norm) / (tm * cm**alpha)), 0.0))
-            continue
-        value = math.log2((joint * matrix.total) / (tm * cm))
-        scores.append(max(value, 0.0) if kind == "ppmi" else value)
-    return scores
+        norm, power = matrix.context_alpha_norm(measure.alpha), measure.alpha
+    else:
+        norm, power = matrix.total, 1
+    clamp = kind != "pmi"
+    row_start, cols, vals = matrix.row_start, matrix.cols, matrix.vals
+    tms, cms = matrix.target_marginals, matrix.context_marginals
+    log2 = math.log2
+    total = 0.0
+    for ti in targets:
+        start, end = row_start[ti], row_start[ti + 1]
+        tm = tms[ti]
+        for ci in contexts:
+            k = bisect_left(cols, ci, start, end)
+            if k == end or cols[k] != ci:
+                if clamp:
+                    continue
+                return NEG_INF
+            value = log2((vals[k] * norm) / (tm * cms[ci] ** power))
+            if value > 0.0 or not clamp:
+                total += value
+    return total
 
 
 # -- persistence ------------------------------------------------------------

@@ -27,7 +27,11 @@ from typing import Iterable, Iterator
 from .errors import FormatError, open_text, read_lines
 
 # Arabic letters after normalization fall in U+0621..U+064A.
-_ARABIC_LETTER = re.compile(r"^[ء-ي]+$")
+_ARABIC_LETTER = re.compile("[ء-ي]+")
+# Arabic letters, tatweel and the short-vowel diacritics, U+0621..U+0652:
+# every character here is of category Lo, Lm or Mn, so a piece made only
+# of them is one word token.
+_PLAIN_WORD = re.compile("[ء-ْ]+")
 
 _DIACRITICS_AND_TATWEEL = re.compile(r"[ً-ْـ]")
 _ALEF_VARIANTS = re.compile(r"[آأإ]")  # آ أ إ
@@ -54,34 +58,31 @@ def tokenize(text: str) -> list[Token]:
     separates tokens and is never emitted. Decimal digits (Unicode
     category Nd, Latin and Arabic-Indic alike) form a class of their own,
     so ``كتب123`` gives ``كتب`` and ``123``. Positions are 0-based indices
-    into the emitted sequence.
+    into the emitted sequence. A whitespace-free piece of plain Arabic
+    letters and diacritics is one word token as it stands; any other
+    piece is split by the class of each character.
     """
     tokens: list[Token] = []
-    run: list[str] = []
-    run_kind: str | None = None
-
-    def flush() -> None:
-        if run:
-            tokens.append(Token("".join(run), len(tokens)))
-            run.clear()
-
-    for ch in text:
-        if ch.isspace():
-            flush()
-            run_kind = None
+    for piece in text.split():
+        if _PLAIN_WORD.fullmatch(piece):
+            tokens.append(Token(piece, len(tokens)))
             continue
-        category = unicodedata.category(ch)
-        if category[0] in ("P", "S"):
-            kind = "punct"
-        elif category == "Nd":
-            kind = "digit"
-        else:
-            kind = "word"
-        if kind != run_kind:
-            flush()
-            run_kind = kind
-        run.append(ch)
-    flush()
+        start = 0
+        run_kind = None
+        for i, ch in enumerate(piece):
+            category = unicodedata.category(ch)
+            if category[0] in ("P", "S"):
+                kind = "punct"
+            elif category == "Nd":
+                kind = "digit"
+            else:
+                kind = "word"
+            if kind != run_kind:
+                if i:
+                    tokens.append(Token(piece[start:i], len(tokens)))
+                start = i
+                run_kind = kind
+        tokens.append(Token(piece[start:], len(tokens)))
     return tokens
 
 
@@ -96,7 +97,7 @@ def normalize(text: str) -> str:
 
 def is_arabic_word(token: str) -> bool:
     """True when every character is an Arabic letter (normalized form)."""
-    return bool(_ARABIC_LETTER.match(token))
+    return bool(_ARABIC_LETTER.fullmatch(token))
 
 
 def is_kept(token: str, stopwords: frozenset[str]) -> bool:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .cooccurrence import AssociationMeasure, ContextMatrix, Vocabulary, association_row
+from .cooccurrence import AssociationMeasure, ContextMatrix, Vocabulary, association_total
 # Scoring no longer calls ``association`` by word, but the name stays
 # importable from here: bench/tracing.py wraps it at this module.
 from .cooccurrence import association  # noqa: F401
@@ -56,6 +56,11 @@ class StemResult:
     scored: tuple[tuple[CandidateRoot, ScoredRoot], ...] = ()
 
 
+# Joins the templates of one arity so that a single str.format fills them
+# all; no template or dictionary root holds it.
+_FORM_SEPARATOR = "\t"
+
+
 def derive_words(
     root: str, patterns: Sequence[Pattern], vocabulary
 ) -> list[str]:
@@ -64,20 +69,27 @@ def derive_words(
     Instantiates every pattern whose arity matches, adds the bare root,
     and keeps the in-vocabulary subset (sorted). When nothing survives,
     falls back to the bare root alone so scoring still has a subject.
+    The matching templates are joined by a tab and filled by one
+    ``str.format`` call, so ``root`` must not hold a tab.
     """
+    if _FORM_SEPARATOR in root:
+        raise ValueError(f"a root cannot hold a tab: {root!r}")
+    arity = len(root)
+    templates = [p.template for p in patterns if p.root_arity == arity]
     forms = {root}
-    for pattern in patterns:
-        if pattern.root_arity == len(root):
-            forms.add(pattern.instantiate(root))
-    known = sorted(f for f in forms if f in vocabulary)
+    if templates:
+        forms.update(_FORM_SEPARATOR.join(templates).format(*root).split(_FORM_SEPARATOR))
+    known = sorted(filter(vocabulary.__contains__, forms))
     return known if known else [root]
 
 
-def _context_words(context: StemContext, context_mode: str) -> tuple[str, ...]:
+def _context_words(preceding: Sequence, following: Sequence, context_mode: str) -> Sequence:
+    """The context ``context_mode`` scores, from what precedes and follows
+    the target within the window: the nearest preceding item, or all."""
     if context_mode == "previous":
-        return context.preceding[-1:]
+        return preceding[-1:]
     if context_mode == "window":
-        return context.preceding + context.following
+        return preceding + following
     raise ValueError(f"unknown context mode: {context_mode!r}")
 
 
@@ -91,24 +103,18 @@ def _mean_association(
     matrix: ContextMatrix,
     measure: AssociationMeasure,
     derived: tuple[int, ...],
-    context: tuple[int, ...],
+    context: Sequence[int],
     n_context: int,
 ) -> float:
     """Mean association over every (derived word, context word) pair.
 
     ``derived`` and ``context`` hold the indices of the in-vocabulary
     words; the others still count as pairs but contribute 0. A root with
-    no in-vocabulary derivation stands for itself, one word. Derived words
-    are the outer loop, context words the inner one, so the float sum is
-    always formed in the same order.
+    no in-vocabulary derivation stands for itself, one word.
     """
     if not n_context:
         return 0.0
-    total = 0.0
-    for ti in derived:
-        for value in association_row(matrix, ti, context, measure):
-            total += value
-    return total / (max(len(derived), 1) * n_context)
+    return association_total(matrix, derived, context, measure) / (max(len(derived), 1) * n_context)
 
 
 def _choose(table: Sequence[ScoredRoot], matrix: ContextMatrix) -> ScoredRoot:
@@ -136,7 +142,7 @@ def score_root(
     contributes -inf, which sinks the whole average.
     """
     derived = _indices(derive_words(root, patterns, matrix.vocab), matrix.vocab)
-    ctx_words = _context_words(context, context_mode)
+    ctx_words = _context_words(context.preceding, context.following, context_mode)
     score = _mean_association(
         matrix, measure, derived, _indices(ctx_words, matrix.vocab), len(ctx_words)
     )
@@ -234,18 +240,19 @@ class Stemmer:
             return StemResult(word, normalized, None, reason)
         prev = filter_tokens((normalize(t) for t in before), self.stopwords)
         nxt = filter_tokens((normalize(t) for t in after), self.stopwords)
-        return self._stem_at(word, prev + [normalized] + nxt, len(prev))
+        kept = prev + [normalized] + nxt
+        return self._stem_at(word, kept, list(map(self.matrix.vocab.index.get, kept)), len(prev))
 
-    def _stem_at(self, word: str, kept: list[str], pos: int) -> StemResult:
-        """Stem ``kept[pos]`` in the context of its kept neighbours."""
+    def _stem_at(self, word: str, kept: list[str], at: list[int | None], pos: int) -> StemResult:
+        """Stem ``kept[pos]`` in the context of its kept neighbours, whose
+        vocabulary indices are ``at`` (None for a word out of vocabulary)."""
         normalized = kept[pos]
         candidates = self.candidates(normalized)
         if not candidates:
             return StemResult(word, normalized, None, "no-candidates")
         keep = self.matrix.window_n - 1
-        context = StemContext(tuple(kept[max(0, pos - keep):pos]), tuple(kept[pos + 1:pos + 1 + keep]))
-        ctx_words = _context_words(context, self.context_mode)
-        ctx = _indices(ctx_words, self.matrix.vocab)
+        ctx_words = _context_words(at[max(0, pos - keep):pos], at[pos + 1:pos + 1 + keep], self.context_mode)
+        ctx = [i for i in ctx_words if i is not None]
         table = []
         for cand in candidates:
             derived = self._derived_indices(cand.root)
@@ -257,20 +264,22 @@ class Stemmer:
     def stem_tokens(self, tokens: Sequence[str], jobs: int = 1) -> list[StemResult]:
         """Stem a raw token stream, each token in its in-stream context.
 
-        Output order follows input order. ``jobs`` is accepted and ignored:
-        stemming runs serially, since the work is pure Python and threads
-        only made it slower.
+        Output order follows input order. Each kept word's vocabulary
+        index is looked up once per stream. ``jobs`` is accepted and
+        ignored: stemming runs serially, since the work is pure Python and
+        threads only made it slower.
         """
         normalized = [normalize(t) for t in tokens]
         reasons = [self._skip_reason(norm) for norm in normalized]
         kept = [norm for norm, reason in zip(normalized, reasons) if reason is None]
+        at = list(map(self.matrix.vocab.index.get, kept))
         results = []
         pos = 0
         for raw, norm, reason in zip(tokens, normalized, reasons):
             if reason is not None:
                 results.append(StemResult(raw, norm, None, reason))
             else:
-                results.append(self._stem_at(raw, kept, pos))
+                results.append(self._stem_at(raw, kept, at, pos))
                 pos += 1
         return results
 

@@ -5,11 +5,17 @@ computed from a flat enumeration of window pairs, cluster metrics from
 the per-word formulas with exact rationals, and candidate roots from the
 generation side (root x pattern x affix pair, modulo one weak-letter
 edit). The tests compare the library against these.
+
+The last three are the plain loops that the library's per-word kernels
+replaced, kept as references: tokenizing one character at a time,
+instantiating one template at a time, and matching every template of an
+infix's length cell by cell.
 """
 
 from __future__ import annotations
 
 import math
+import unicodedata
 from fractions import Fraction
 
 WEAK = "اوي"  # ا و ي
@@ -148,4 +154,86 @@ def oracle_candidates(word, resources):
                         continue
                     if rest[len(core):] in resources.affixes.suffixes:
                         found.add(root)
+    return found
+
+
+def oracle_tokenize(text):
+    """Tokens of the maximal same-class character runs, whitespace apart:
+    punctuation and symbols (P*, S*), decimal digits (Nd), everything else."""
+    from cbas.corpus import Token
+
+    tokens = []
+    run = []
+    run_kind = None
+
+    def flush():
+        if run:
+            tokens.append(Token("".join(run), len(tokens)))
+            run.clear()
+
+    for ch in text:
+        if ch.isspace():
+            flush()
+            run_kind = None
+            continue
+        category = unicodedata.category(ch)
+        if category[0] in ("P", "S"):
+            kind = "punct"
+        elif category == "Nd":
+            kind = "digit"
+        else:
+            kind = "word"
+        if kind != run_kind:
+            flush()
+            run_kind = kind
+        run.append(ch)
+    flush()
+    return tokens
+
+
+def oracle_derive_words(root, patterns, vocabulary):
+    """One ``instantiate`` per template of the root's arity, plus the bare
+    root; the in-vocabulary ones sorted, else the bare root alone."""
+    forms = {root}
+    for pattern in patterns:
+        if pattern.root_arity == len(root):
+            forms.add(pattern.instantiate(root))
+    known = sorted(f for f in forms if f in vocabulary)
+    return known if known else [root]
+
+
+def _match_cells(pattern, infix):
+    """The raw root read cell by cell, or None when the infix does not fit."""
+    if len(infix) != len(pattern.cells):
+        return None
+    letters = {}
+    for cell, ch in zip(pattern.cells, infix):
+        if isinstance(cell, str):
+            if cell != ch:
+                return None
+        elif letters.setdefault(cell, ch) != ch:
+            return None
+    return "".join(letters[i] for i in range(1, len(letters) + 1))
+
+
+def oracle_generate_candidates(word, resources):
+    """``(root, segmentation, pattern, weak tag)`` of every candidate, in
+    order: each segmentation, each template of the infix's length in file
+    order (then the bare two-letter route), each weak variant; the first
+    derivation of a root wins."""
+    from cbas.morphology import expand_weak_tagged, segment
+
+    found = []
+    seen = set()
+    for seg in segment(word, resources.affixes):
+        routes = [(p, _match_cells(p, seg.infix)) for p in resources.patterns if len(p.cells) == len(seg.infix)]
+        if len(seg.infix) == 2:
+            routes.append((None, seg.infix))
+        for pattern, raw in routes:
+            if raw is None:
+                continue
+            for variant, tag in expand_weak_tagged(raw):
+                if variant in resources.roots and variant not in seen:
+                    seen.add(variant)
+                    found.append((variant, seg, pattern, tag))
     return found

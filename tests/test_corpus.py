@@ -1,13 +1,17 @@
 import string
+import sys
+import unicodedata
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cbas import corpus
 from cbas.corpus import (
     RawDocument,
     Token,
     filter_tokens,
     is_arabic_word,
+    is_kept,
     load_stopwords,
     normalize,
     prepare,
@@ -15,10 +19,23 @@ from cbas.corpus import (
     tokenize,
 )
 
+from .oracles import oracle_tokenize
+
 ARABIC_LETTERS = "".join(chr(c) for c in range(0x0621, 0x064B))
 DIACRITICS = "".join(chr(c) for c in range(0x064B, 0x0653)) + "ـ"
 
 arabic_text = st.text(alphabet=ARABIC_LETTERS + DIACRITICS + " .,،0123456789")
+
+# Arabic words with diacritics, Arabic-block characters outside the plain
+# letter range (Arabic-Indic digits, Arabic comma and question mark,
+# superscript alef, keheh), Latin letters and digits, ASCII punctuation,
+# and whitespace: ASCII, no-break space, em space, ideographic space and
+# the file separator, which str.isspace() counts too. U+200B is not
+# whitespace.
+mixed_text = st.text(
+    alphabet=ARABIC_LETTERS + DIACRITICS + "٠١٢٣٤٥٦٧٨٩،؟ٰک" + "abcXYZ0189" + ".,!?-()$"
+    + " \t\n\u00a0\u2003\u3000\u001c\u200b"
+)
 
 
 class TestTokenize:
@@ -52,6 +69,17 @@ class TestTokenize:
 
     def test_punctuation_runs_are_single_tokens(self):
         assert [t.surface for t in tokenize("نعم... لا")] == ["نعم", "...", "لا"]
+
+    @given(st.one_of(mixed_text, st.lists(st.sampled_from(["وقال", "الرجلُ", "كتب123", "a.b", "،", "\u00a0"])).map(" ".join)))
+    def test_equals_per_character_reference(self, text):
+        assert tokenize(text) == oracle_tokenize(text)
+
+    def test_plain_word_class_holds_no_punctuation_symbol_or_digit(self):
+        plain = [chr(c) for c in range(sys.maxunicode + 1) if corpus._PLAIN_WORD.fullmatch(chr(c))]
+        assert plain == [chr(c) for c in range(0x0621, 0x0653)]
+        for ch in plain:
+            category = unicodedata.category(ch)
+            assert category[0] not in ("P", "S") and category != "Nd" and not ch.isspace(), hex(ord(ch))
 
     @given(arabic_text)
     def test_positions_are_consecutive(self, text):
@@ -129,6 +157,11 @@ class TestIsArabicWord:
 
     def test_accepts_hamza_forms(self):
         assert is_arabic_word("سائح")
+
+    def test_rejects_a_trailing_newline(self):
+        assert not is_arabic_word("كتب\n")
+        assert not is_kept("كتب\n", frozenset())
+        assert filter_tokens(["كتب\n", "درس"], frozenset()) == ["درس"]
 
 
 class TestStopwordFile:

@@ -17,6 +17,7 @@ from cbas.corpus import iter_token_streams, normalize, read_corpus, tokenize
 from cbas.morphology import CandidateRoot, Segmentation, generate_candidates, parse_pattern
 
 from .conftest import DATA_DIR
+from .oracles import oracle_derive_words
 
 # Corpus built so that derivations of قول co-occur with الرجل while قيل
 # never surfaces at all: exactly one of the two candidate roots of وقال
@@ -70,6 +71,22 @@ class TestDeriveWords:
         } | {"قول"}
         assert got == sorted(w for w in brute if w in mini_matrix.vocab)
         assert got == ["يقول"]
+
+    @given(
+        st.text(alphabet="قولكتبدريا", min_size=1, max_size=6),
+        st.lists(st.sampled_from(["123", "1ا23", "12و3", "م123", "ا123ا3", "1234", "م1234", "12345"]), max_size=6),
+        st.integers(0, 2**12 - 1),
+    )
+    def test_equals_per_template_reference(self, root, lines, known):
+        patterns = [parse_pattern(line) for line in lines]
+        # Every form of the root, in- or out-of-vocabulary as the bits of ``known`` say.
+        forms = sorted({root} | {p.instantiate(root) for p in patterns if p.root_arity == len(root)})
+        vocab = {form: i for i, form in enumerate(f for k, f in enumerate(forms) if known >> k & 1)}
+        assert derive_words(root, patterns, vocab) == oracle_derive_words(root, patterns, vocab)
+
+    def test_root_with_a_tab_is_rejected(self):
+        with pytest.raises(ValueError):
+            derive_words("ك\tب", (parse_pattern("123"),), {})
 
 
 class TestScoreRoot:
@@ -185,6 +202,9 @@ class TestStemmer:
         assert mini_stemmer.stem(".").skip_reason == "punctuation"
         assert mini_stemmer.stem("abc").skip_reason == "non-arabic"
 
+    def test_trailing_newline_is_not_arabic(self, mini_stemmer):
+        assert mini_stemmer.stem("قال\n").skip_reason == "non-arabic"
+
     def test_no_candidates(self, mini_stemmer):
         result = mini_stemmer.stem("د")
         assert result.root is None
@@ -261,23 +281,41 @@ class TestOneStemmingPath:
         streamed = Stemmer(toy_resources, STOPWORDS, mini_matrix, AssociationMeasure("pmi"), mode)
         assert stemmer.stem(word, before, after) == streamed.stem_tokens(before + [word] + after)[len(before)]
 
-    def test_memo_tables_compute_each_word_and_root_once(self, toy_resources, mini_matrix, monkeypatch):
-        calls = {"generate_candidates": [], "derive_words": []}
-        for name in calls:
-            inner = getattr(disambiguation, name)
-
-            def counted(arg, *rest, _inner=inner, _seen=calls[name]):
-                _seen.append(arg)
-                return _inner(arg, *rest)
-
-            monkeypatch.setattr(disambiguation, name, counted)
+    def test_memo_tables_compute_each_word_and_root_once(self, toy_resources, mini_matrix, counted_calls):
         stemmer = Stemmer(toy_resources, STOPWORDS, mini_matrix)
         stream = ["الرجل", "وقال", "الحق"] * 5
         results = stemmer.stem_tokens(stream)
         stemmer.stem("وقال", before=["الرجل"])
-        assert sorted(calls["generate_candidates"]) == sorted(set(stream))
+        assert sorted(counted_calls["generate_candidates"]) == sorted(set(stream))
         roots = {cand.root for r in results for cand, _ in r.scored}
-        assert sorted(calls["derive_words"]) == sorted(roots)
+        assert sorted(counted_calls["derive_words"]) == sorted(roots)
+
+    def test_no_memo_outlives_a_stemmer(self, toy_resources, mini_matrix, counted_calls):
+        stream = ["الرجل", "وقال", "الحق", "لدار"]
+        first = Stemmer(toy_resources, STOPWORDS, mini_matrix).stem_tokens(stream)
+        once = {name: sorted(calls) for name, calls in counted_calls.items()}
+        assert once["generate_candidates"] and once["derive_words"]
+        second = Stemmer(toy_resources, STOPWORDS, mini_matrix).stem_tokens(stream)
+        assert second == first
+        assert {name: sorted(calls) for name, calls in counted_calls.items()} == {
+            name: sorted(calls * 2) for name, calls in once.items()
+        }
+
+
+@pytest.fixture
+def counted_calls(monkeypatch):
+    """The first argument of every call a Stemmer makes to
+    ``generate_candidates`` and ``derive_words``, by function name."""
+    calls = {"generate_candidates": [], "derive_words": []}
+    for name in calls:
+        inner = getattr(disambiguation, name)
+
+        def counted(arg, *rest, _inner=inner, _seen=calls[name]):
+            _seen.append(arg)
+            return _inner(arg, *rest)
+
+        monkeypatch.setattr(disambiguation, name, counted)
+    return calls
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,12 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cbas.errors import FormatError
 from cbas.morphology import (
     AffixLists,
     Segmentation,
+    bundled_resource_dir,
     expand_weak,
     generate_candidates,
     load_resources,
@@ -14,9 +15,26 @@ from cbas.morphology import (
 )
 
 from .conftest import make_toy_resources
-from .oracles import oracle_candidates
+from .oracles import oracle_candidates, oracle_generate_candidates
 
 CORE_LETTERS = "بتجحدرسصقكلمنهويا"
+
+BUNDLED = load_resources(bundled_resource_dir())
+
+
+@st.composite
+def bundled_words(draw):
+    """prefix + template(root letters) + suffix over the bundled resources;
+    the root letters are a dictionary root or any letters, weak ones often."""
+    pattern = draw(st.sampled_from(BUNDLED.patterns))
+    arity = pattern.root_arity
+    root = draw(st.one_of(
+        st.sampled_from(sorted(r for r in BUNDLED.roots if len(r) == arity)),
+        st.text(alphabet=CORE_LETTERS + "اويء", min_size=arity, max_size=arity),
+    ))
+    prefix = draw(st.sampled_from(sorted(BUNDLED.affixes.prefixes)))
+    suffix = draw(st.sampled_from(sorted(BUNDLED.affixes.suffixes)))
+    return prefix + pattern.instantiate(root) + suffix
 
 
 class TestParsePattern:
@@ -189,6 +207,22 @@ class TestGenerateCandidates:
         got = {c.root for c in generate_candidates(word, resources)}
         assert got == oracle_candidates(word, resources)
 
+    @given(st.one_of(bundled_words(), st.text(alphabet=CORE_LETTERS + "اويةتء", max_size=9)))
+    # Infixes that fit templates of two literal-position groups, the later
+    # group holding the earlier template in file order.
+    @example("تباين")
+    @example("وتخايل")
+    def test_candidate_lists_equal_per_template_reference(self, word):
+        def route(c):
+            return c.root, c.segmentation, None if c.pattern is None else id(c.pattern), c.weak_variant
+
+        got = [route(c) for c in generate_candidates(word, BUNDLED)]
+        want = [
+            (root, seg, None if pattern is None else id(pattern), tag)
+            for root, seg, pattern, tag in oracle_generate_candidates(word, BUNDLED)
+        ]
+        assert got == want
+
     def test_soundness_all_candidates_in_dictionary(self, bundled_resources):
         for word in ("والمدرسة", "افتتاح", "بالمسرحية", "اللاعبون", "تدريب"):
             for c in generate_candidates(word, bundled_resources):
@@ -286,12 +320,15 @@ class TestIndexedLookups:
                 c if isinstance(c, str) else root[c - 1] for c in pattern.cells
             )
 
+    @given(st.one_of(bundled_words(), st.text(alphabet=CORE_LETTERS + "اوي", max_size=7)))
+    @example("تباين")
+    def test_templates_matching_equals_every_match(self, infix):
+        want = [(p, raw) for p in BUNDLED.patterns if (raw := p.match(infix)) is not None]
+        got = BUNDLED.templates_matching(infix)
+        assert [(id(p), raw) for p, raw in got] == [(id(p), raw) for p, raw in want]
+
     def test_patterns_indexed_in_file_order(self):
         resources = make_toy_resources()
-        for length in range(1, 7):
-            assert resources.patterns_of_length(length) == tuple(
-                p for p in resources.patterns if p.length == length
-            )
         for arity in range(1, 6):
             assert resources.patterns_of_arity(arity) == tuple(
                 p for p in resources.patterns if p.root_arity == arity
