@@ -18,11 +18,11 @@ The resource objects index themselves once, when they are built, and
 hold nothing that depends on the words they are asked about: affix lists
 know their longest entry, so ``segment`` probes only the prefixes and
 suffixes the word could carry; each pattern compiles its cells into C
-getters; and ``MorphResources`` groups its patterns by length, by root
-arity, and, within a length, by the positions of their literal letters.
-That last index is the template index: an infix is matched against a
-whole group with one dict lookup, so a 5-letter infix costs 10 lookups
-with the bundled patterns rather than 33 ``match`` calls.
+getters; and ``MorphResources`` groups its patterns by root arity and,
+within each length, by the positions of their literal letters. That
+last index is the template index: an infix is matched against a whole
+group with one dict lookup, so a 5-letter infix costs 10 lookups with
+the bundled patterns rather than 33 ``match`` calls.
 """
 
 from __future__ import annotations
