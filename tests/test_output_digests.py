@@ -2,20 +2,24 @@
 
 Each digest was taken from the program before its per-word kernels were
 rewritten for speed, so any change to what ``build-matrix``, ``stem`` or
-``evaluate`` writes on the bundled data fails here. A change that means
-to alter the output updates the digests and says why.
+``evaluate`` writes on the bundled data fails here; the demos' digests
+pin what each ``demos/*.py`` prints. A change that means to alter the
+output updates the digests and says why.
 """
 
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
 from cbas.cli import main
 from cbas.morphology import bundled_resource_dir
 
-from .conftest import DATA_DIR
+from .conftest import DATA_DIR, REPO_ROOT
 
 RESOURCES = bundled_resource_dir()
 STOPWORDS = RESOURCES / "stopwords.txt"
@@ -41,6 +45,15 @@ EVALUATE = {
     ("ppmi", "window"): "398ab94f3f206efe90b660a89e74ef5ca2df61f410ca753c703b8876ce743bd8",
     ("spmi", "previous"): "398ab94f3f206efe90b660a89e74ef5ca2df61f410ca753c703b8876ce743bd8",
     ("spmi", "window"): "398ab94f3f206efe90b660a89e74ef5ca2df61f410ca753c703b8876ce743bd8",
+}
+
+DEMOS = {
+    "01_text_pipeline": "f862a8a883ccfe1c9f0ae3e7d374bf6e70f1a613fa4c9f8c7ff0a021ce82ee11",
+    "02_context_matrix": "15fa71edc62c291b90991014388f565bc8355f4547e3e5e57231d64d0081f269",
+    "03_association_measures": "bb3f17791ae6045702f5cbdb47752db28494b4dc729d1eaf6def767742a294cb",
+    "04_candidate_roots": "9b5bc501cd67bdb1ac1435106623190ca08826072177a92060ba406545ef517a",
+    "05_stemming_in_context": "fb39cf66a608691dbe29136ad8f991d140a67e236de31d742a3acf22c44de4dd",
+    "06_evaluation": "e2bab38c53cc5205a20a887f4ba3fbc1b849a4ba057b34548041fec0c6b3d8d3",
 }
 
 
@@ -95,3 +108,18 @@ def test_evaluate_bytes(bundled, kind, context):
     matrix, _, _ = bundled
     out = run(["evaluate", "--gold", str(DATA_DIR / "gold_sample.tsv"), *scoring(matrix, kind, context)])
     assert sha256(out) == EVALUATE[kind, context]
+
+
+def test_every_demo_is_pinned():
+    assert sorted(p.stem for p in (REPO_ROOT / "demos").glob("*.py")) == sorted(DEMOS)
+
+
+@pytest.mark.parametrize("demo", list(DEMOS))
+def test_demo_stdout_bytes(demo):
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "PYTHONIOENCODING": "utf-8"}
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "demos" / f"{demo}.py")],
+        cwd=REPO_ROOT, env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    assert sha256(proc.stdout) == DEMOS[demo]
