@@ -13,12 +13,12 @@ print(" ", sentence)
 # Tokens are maximal same-class runs: words, digit runs, punctuation runs.
 tokens = tokenize(sentence)
 print("\ntokens (surface @ position):")
-for t in tokens:
-    print(f"  {t.surface!r} @ {t.position}")
+for position, token in enumerate(tokens):
+    print(f"  {token!r} @ {position}")
 
 # Normalization strips diacritics and tatweel and folds alef variants;
 # note how the diacritics on the first two words disappear.
-normalized = [normalize(t.surface) for t in tokens]
+normalized = [normalize(t) for t in tokens]
 print("\nnormalized:")
 print(" ", normalized)
 

@@ -17,7 +17,6 @@ from .cooccurrence import (
 )
 from .corpus import (
     RawDocument,
-    Token,
     filter_tokens,
     iter_token_streams,
     load_stopwords,
@@ -79,7 +78,6 @@ __all__ = [
     "StemContext",
     "StemResult",
     "Stemmer",
-    "Token",
     "Vocabulary",
     "association",
     "build_clusters",

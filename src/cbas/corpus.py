@@ -3,9 +3,10 @@
 Everything downstream (matrix construction, stemming, evaluation) consumes
 the filtered token streams produced here, so the exact rules matter:
 
-* tokens are maximal runs of word characters; punctuation runs and digit
-  runs come out as their own tokens so filtering can drop them later
-  without disturbing token positions;
+* a token is a ``str``, a maximal run of word characters; punctuation
+  runs and digit runs come out as their own tokens so filtering can drop
+  them later. A token's position is its index in the list ``tokenize``
+  returns;
 * normalization strips the short-vowel diacritics (U+064B..U+0652) and
   tatweel, folds the hamza-carrying alef forms onto bare alef, and folds
   alef maqsura onto yeh; ta marbuta is kept (the suffix list handles it);
@@ -45,27 +46,20 @@ class RawDocument:
     text: str
 
 
-@dataclass(frozen=True)
-class Token:
-    surface: str
-    position: int
-
-
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str) -> list[str]:
     """Split text into word, punctuation, and digit tokens, in order.
 
     A token is a maximal run of characters of the same class; whitespace
     separates tokens and is never emitted. Decimal digits (Unicode
     category Nd, Latin and Arabic-Indic alike) form a class of their own,
-    so ``كتب123`` gives ``كتب`` and ``123``. Positions are 0-based indices
-    into the emitted sequence. A whitespace-free piece of plain Arabic
-    letters and diacritics is one word token as it stands; any other
-    piece is split by the class of each character.
+    so ``كتب123`` gives ``كتب`` and ``123``. A whitespace-free piece of
+    plain Arabic letters and diacritics is one word token as it stands;
+    any other piece is split by the class of each character.
     """
-    tokens: list[Token] = []
+    tokens: list[str] = []
     for piece in text.split():
         if _PLAIN_WORD.fullmatch(piece):
-            tokens.append(Token(piece, len(tokens)))
+            tokens.append(piece)
             continue
         start = 0
         run_kind = None
@@ -79,10 +73,10 @@ def tokenize(text: str) -> list[Token]:
                 kind = "word"
             if kind != run_kind:
                 if i:
-                    tokens.append(Token(piece[start:i], len(tokens)))
+                    tokens.append(piece[start:i])
                 start = i
                 run_kind = kind
-        tokens.append(Token(piece[start:], len(tokens)))
+        tokens.append(piece[start:])
     return tokens
 
 
@@ -118,8 +112,7 @@ def filter_tokens(tokens: Iterable[str], stopwords: frozenset[str]) -> list[str]
 
 def prepare(text: str, stopwords: frozenset[str]) -> list[str]:
     """Tokenize, normalize, and filter one document into its token stream."""
-    normalized = (normalize(tok.surface) for tok in tokenize(text))
-    return filter_tokens(normalized, stopwords)
+    return filter_tokens(map(normalize, tokenize(text)), stopwords)
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:

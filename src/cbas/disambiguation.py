@@ -284,4 +284,4 @@ class Stemmer:
         return results
 
     def stem_text(self, text: str, jobs: int = 1) -> list[StemResult]:
-        return self.stem_tokens([t.surface for t in tokenize(text)], jobs=jobs)
+        return self.stem_tokens(tokenize(text), jobs=jobs)

@@ -160,15 +160,13 @@ def oracle_candidates(word, resources):
 def oracle_tokenize(text):
     """Tokens of the maximal same-class character runs, whitespace apart:
     punctuation and symbols (P*, S*), decimal digits (Nd), everything else."""
-    from cbas.corpus import Token
-
     tokens = []
     run = []
     run_kind = None
 
     def flush():
         if run:
-            tokens.append(Token("".join(run), len(tokens)))
+            tokens.append("".join(run))
             run.clear()
 
     for ch in text:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cbas import corpus
 from cbas.corpus import (
     RawDocument,
-    Token,
     filter_tokens,
     is_arabic_word,
     is_kept,
@@ -43,32 +42,23 @@ class TestTokenize:
         assert tokenize("") == []
 
     def test_word_abbreviation_period(self):
-        assert tokenize("قال د .") == [
-            Token("قال", 0),
-            Token("د", 1),
-            Token(".", 2),
-        ]
+        assert tokenize("قال د .") == ["قال", "د", "."]
 
     def test_digits_are_separate_tokens(self):
-        assert tokenize("افتتاح الدورة 23") == [
-            Token("افتتاح", 0),
-            Token("الدورة", 1),
-            Token("23", 2),
-        ]
+        assert tokenize("افتتاح الدورة 23") == ["افتتاح", "الدورة", "23"]
 
     def test_digits_glued_to_letters_split_off(self):
-        assert [t.surface for t in tokenize("كتب123 درس")] == ["كتب", "123", "درس"]
-        assert [t.surface for t in tokenize("٢٠درس")] == ["٢٠", "درس"]
+        assert tokenize("كتب123 درس") == ["كتب", "123", "درس"]
+        assert tokenize("٢٠درس") == ["٢٠", "درس"]
 
     def test_glued_digits_no_longer_hide_the_word(self):
         assert prepare("كتب123 درس", frozenset()) == ["كتب", "درس"]
 
     def test_attached_punctuation_splits_off(self):
-        surfaces = [t.surface for t in tokenize("الاوبرا، وقال")]
-        assert surfaces == ["الاوبرا", "،", "وقال"]
+        assert tokenize("الاوبرا، وقال") == ["الاوبرا", "،", "وقال"]
 
     def test_punctuation_runs_are_single_tokens(self):
-        assert [t.surface for t in tokenize("نعم... لا")] == ["نعم", "...", "لا"]
+        assert tokenize("نعم... لا") == ["نعم", "...", "لا"]
 
     @given(st.one_of(mixed_text, st.lists(st.sampled_from(["وقال", "الرجلُ", "كتب123", "a.b", "،", "\u00a0"])).map(" ".join)))
     def test_equals_per_character_reference(self, text):
@@ -82,17 +72,12 @@ class TestTokenize:
             assert category[0] not in ("P", "S") and category != "Nd" and not ch.isspace(), hex(ord(ch))
 
     @given(arabic_text)
-    def test_positions_are_consecutive(self, text):
-        tokens = tokenize(text)
-        assert [t.position for t in tokens] == list(range(len(tokens)))
-
-    @given(arabic_text)
     def test_tokens_appear_in_document_order(self, text):
         cursor = 0
         for token in tokenize(text):
-            found = text.find(token.surface, cursor)
+            found = text.find(token, cursor)
             assert found >= cursor
-            cursor = found + len(token.surface)
+            cursor = found + len(token)
 
 
 class TestNormalize:

@@ -322,7 +322,7 @@ def counted_calls(monkeypatch):
 def bundled_setup(bundled_resources, bundled_stopwords):
     documents = read_corpus(DATA_DIR / "sample_corpus")
     matrix = build_matrix(iter_token_streams(documents, bundled_stopwords), 3)
-    tokens = [t.surface for doc in documents for t in tokenize(doc.text)]
+    tokens = [t for doc in documents for t in tokenize(doc.text)]
     return bundled_resources, bundled_stopwords, matrix, tokens
 
 
