@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
+from typing import Iterator
 
 from .corpus import is_arabic_word, normalize
 from .errors import FormatError, read_lines
@@ -46,10 +47,6 @@ class Segmentation:
     prefix: str
     infix: str
     suffix: str
-
-    @property
-    def word(self) -> str:
-        return self.prefix + self.infix + self.suffix
 
 
 @dataclass(frozen=True)
@@ -273,6 +270,29 @@ def segment(word: str, affixes: AffixLists) -> list[Segmentation]:
     return splits
 
 
+def _weak_variants(raw_root: str) -> Iterator[tuple[str, str | None]]:
+    """Every weak-letter variant of a raw root with its provenance tag, in
+    expansion order, repeats included.
+
+    Order: the unchanged raw root, then single-position substitutions of
+    each weak letter by the other two (left to right, replacements in
+    ا و ي order), then, for two-letter raws only, insertions of و / ي / ا
+    at each of the three positions followed by doubling of the final
+    letter.
+    """
+    yield raw_root, None
+    for i, ch in enumerate(raw_root):
+        if ch in WEAK_LETTERS:
+            for repl in WEAK_LETTERS:
+                if repl != ch:
+                    yield raw_root[:i] + repl + raw_root[i + 1:], f"sub:{i}:{ch}>{repl}"
+    if len(raw_root) == 2:
+        for letter in _INSERTION_LETTERS:
+            for pos in range(3):
+                yield raw_root[:pos] + letter + raw_root[pos:], f"ins:{pos}:{letter}"
+        yield raw_root + raw_root[-1], "double"
+
+
 def expand_weak(raw_root: str) -> list[str]:
     """Weak-letter variants of a raw root, the raw root itself first."""
     return [variant for variant, _ in expand_weak_tagged(raw_root)]
@@ -281,34 +301,13 @@ def expand_weak(raw_root: str) -> list[str]:
 def expand_weak_tagged(raw_root: str) -> list[tuple[str, str | None]]:
     """Like expand_weak but each variant carries a short provenance tag.
 
-    Variant order: the unchanged raw root, then single-position
-    substitutions of each weak letter by the other two (left to right,
-    replacements in ا و ي order), then, for two-letter raws only,
-    insertions of و / ي / ا at each of the three positions followed by
-    doubling of the final letter. Duplicates are dropped, first tag wins.
+    The variants of ``_weak_variants`` in its order, duplicates dropped,
+    first tag wins.
     """
-    variants: list[tuple[str, str | None]] = [(raw_root, None)]
-    for i, ch in enumerate(raw_root):
-        if ch in WEAK_LETTERS:
-            for repl in WEAK_LETTERS:
-                if repl != ch:
-                    variants.append(
-                        (raw_root[:i] + repl + raw_root[i + 1:], f"sub:{i}:{ch}>{repl}")
-                    )
-    if len(raw_root) == 2:
-        for letter in _INSERTION_LETTERS:
-            for pos in range(3):
-                variants.append(
-                    (raw_root[:pos] + letter + raw_root[pos:], f"ins:{pos}:{letter}")
-                )
-        variants.append((raw_root + raw_root[-1], "double"))
-    seen: set[str] = set()
-    unique = []
-    for variant, tag in variants:
-        if variant not in seen:
-            seen.add(variant)
-            unique.append((variant, tag))
-    return unique
+    first: dict[str, str | None] = {}
+    for variant, tag in _weak_variants(raw_root):
+        first.setdefault(variant, tag)
+    return list(first.items())
 
 
 def generate_candidates(word: str, resources: MorphResources) -> list[CandidateRoot]:
@@ -329,7 +328,7 @@ def generate_candidates(word: str, resources: MorphResources) -> list[CandidateR
         if len(infix) == 2:
             routes.append((None, infix))
         for pattern, raw in routes:
-            for variant, tag in expand_weak_tagged(raw):
+            for variant, tag in _weak_variants(raw):
                 if variant in roots and variant not in seen:
                     seen.add(variant)
                     candidates.append(CandidateRoot(variant, seg, pattern, tag))
