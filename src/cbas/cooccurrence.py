@@ -284,14 +284,6 @@ def association(
     return association_total(matrix, (ti,), (ci,), measure)
 
 
-def association_row(
-    matrix: ContextMatrix, ti: int, contexts: Sequence[int], measure: AssociationMeasure
-) -> list[float]:
-    """``association`` of the word at vocabulary index ``ti`` with each word
-    at the indices ``contexts``, in order."""
-    return [association_total(matrix, (ti,), (ci,), measure) for ci in contexts]
-
-
 def association_total(
     matrix: ContextMatrix,
     targets: Iterable[int],
@@ -300,8 +292,8 @@ def association_total(
 ) -> float:
     """Sum of the association of every target index with every context index.
 
-    This is where the measures are defined; ``association`` and
-    ``association_row`` are sums of one pair. Targets are the outer loop
+    This is where the measures are defined; ``association`` is the sum
+    of one pair. Targets are the outer loop
     and contexts the inner one, so the float sum is always formed in the
     same order. Each target's row is found once and each context index is
     searched in it. Under ppmi and spmi a pair scores max(value, 0), so

@@ -11,7 +11,7 @@ from cbas.cooccurrence import (
     ContextMatrix,
     Vocabulary,
     association,
-    association_row,
+    association_total,
     build_matrix,
     load_matrix,
     save_matrix,
@@ -158,14 +158,14 @@ class TestAssociation:
                 assert association(count_matrix, w, c, spmi1) == pytest.approx(
                     association(count_matrix, w, c, ppmi), abs=1e-12
                 )
-        # A whole row scores exactly as each pair does alone, and as the
+        # Each pair scores by index exactly as it does by word, and as the
         # measure's float expression written out.
         m = count_matrix
         every = range(len(m.vocab))
         measures = [AssociationMeasure("pmi"), ppmi, AssociationMeasure("spmi", 0.75), spmi1]
         for ti, w in enumerate(m.vocab.words):
             for measure in measures:
-                row = association_row(m, ti, every, measure)
+                row = [association_total(m, (ti,), (ci,), measure) for ci in every]
                 assert row == [association(m, w, c, measure) for c in m.vocab.words]
                 for ci, c in enumerate(m.vocab.words):
                     joint, tm, cm = m.count(w, c), m.target_marginals[ti], m.context_marginals[ci]
@@ -178,7 +178,7 @@ class TestAssociation:
                         want = math.log2((joint * m.total) / (tm * cm))
                         want = max(want, 0.0) if measure.kind == "ppmi" else want
                     assert row[ci] == want
-        assert float("-inf") in association_row(m, 0, every, measures[0])
+        assert float("-inf") in [association_total(m, (0,), (ci,), measures[0]) for ci in every]
 
     def test_empty_matrix_rejected(self):
         m = ContextMatrix(2, Vocabulary(["a"]), {})
