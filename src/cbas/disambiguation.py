@@ -32,7 +32,13 @@ CONTEXT_MODES = ("previous", "window")
 
 @dataclass(frozen=True)
 class StemContext:
-    """Filtered words around the target, nearest-first trimmed to the window."""
+    """Kept words around the target, in text order: ``preceding`` ends with
+    the word just before it, ``following`` starts with the word just after.
+
+    ``score_root`` and ``select_root`` score every word given here. A
+    ``Stemmer`` scores at most ``window_n - 1`` kept words on each side,
+    so the two agree only on a context trimmed that way.
+    """
 
     preceding: tuple[str, ...] = ()
     following: tuple[str, ...] = ()

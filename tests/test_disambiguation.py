@@ -367,3 +367,27 @@ def test_memoised_stemming_equals_select_root_on_bundled_corpus(bundled_setup, k
             assert result.root is None and result.skip_reason == "no-candidates"
         pos += 1
     assert pos == len(kept) > 500
+
+
+# The eight kept words before the first كتب of the bundled corpus, in text order.
+BEFORE_KATABA = ("ذهب", "الطلاب", "المدرسة", "الصباح", "وبدا", "المعلم", "الدرس", "الجديد")
+
+
+def test_stem_context_is_scored_whole_and_only_the_stemmer_trims_it(bundled_setup):
+    resources, stopwords, matrix, _ = bundled_setup
+    measure = AssociationMeasure("spmi", 0.75)
+    candidates = generate_candidates("كتب", resources)
+
+    def table(mode, preceding):
+        return select_root(candidates, StemContext(preceding), matrix, measure, resources.patterns, mode)[1]
+
+    def stemmed(mode):
+        result = Stemmer(resources, stopwords, matrix, measure, mode).stem("كتب", before=BEFORE_KATABA)
+        return [s for _, s in result.scored]
+
+    # Window 3: the Stemmer keeps the two nearest words, the last two of the tuple.
+    assert stemmed("window") == table("window", BEFORE_KATABA[-2:])
+    assert stemmed("window")[0].score == pytest.approx(2.4844, abs=1e-4)
+    assert table("window", BEFORE_KATABA)[0].score == pytest.approx(0.6211, abs=1e-4)
+    # The nearest preceding word is the last one.
+    assert stemmed("previous") == table("previous", BEFORE_KATABA) == table("previous", BEFORE_KATABA[-1:])
