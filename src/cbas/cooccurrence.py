@@ -293,9 +293,8 @@ def association_total(
     """Sum of the association of every target index with every context index.
 
     This is where the measures are defined; ``association`` is the sum
-    of one pair. Targets are the outer loop
-    and contexts the inner one, so the float sum is always formed in the
-    same order. Each target's row is found once and each context index is
+    of one pair. Targets are the outer loop and contexts the inner one,
+    so the float sum is always formed in the same order. Each target's row is found once and each context index is
     searched in it. Under ppmi and spmi a pair scores max(value, 0), so
     a pair that scores 0, and every pair that never co-occurs, is skipped:
     adding 0.0 changes no sum. Under pmi a pair that never co-occurs
