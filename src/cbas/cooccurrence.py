@@ -15,7 +15,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -28,12 +28,12 @@ FILE_VERSION = "v1"
 
 # Context indices are C ints (4 bytes), counts and row offsets C long longs.
 MAX_COUNT = 2**63 - 1
+_MAX_INDEX = 2**31 - 1
 
 # The only integers a matrix file holds: ASCII digits, no sign, no leading
 # zero (0|[1-9][0-9]*, written with a lookahead, which matches faster).
-_INT = "(?!0[0-9])[0-9]+"
-_INT_RE = re.compile(_INT)
-_COUNT_LINES = re.compile(f"(?:{_INT}\t{_INT}\t[1-9][0-9]*\n)*")
+_INT_RE = re.compile("(?!0[0-9])[0-9]+")
+_NO_DIGITS = str.maketrans("", "", "0123456789")
 _TO_COMMAS = str.maketrans("\t\n", ",,")
 _BLOCK_CHARS = 1 << 16
 
@@ -230,18 +230,14 @@ def _freeze(rows: list) -> tuple[array, array, array]:
     return row_start, cols, vals
 
 
-def build_matrix(
-    documents: Iterable[Iterable[str]], window_n: int, jobs: int = 1
-) -> ContextMatrix:
+def build_matrix(documents: Iterable[Iterable[str]], window_n: int) -> ContextMatrix:
     """Count co-occurrences within a symmetric window of size ``window_n``.
 
     Within each document, the words at positions i and j are associated
     whenever 0 < |i - j| < window_n; windows never cross document
     boundaries. Documents must already be normalized and stopword-filtered.
     ``documents`` and each document are read once, in order, so either
-    may be a generator. ``jobs`` is accepted and ignored: counting runs
-    serially, since the work is pure Python and threads only made it
-    slower.
+    may be a generator.
     """
     if window_n < 2:
         raise ValueError(f"window_n must be >= 2, got {window_n}")
@@ -294,13 +290,13 @@ def association_total(
 
     This is where the measures are defined; ``association`` is the sum
     of one pair. Targets are the outer loop and contexts the inner one,
-    so the float sum is always formed in the same order. Each target's row is found once and each context index is
-    searched in it. Under ppmi and spmi a pair scores max(value, 0), so
-    a pair that scores 0, and every pair that never co-occurs, is skipped:
-    adding 0.0 changes no sum. Under pmi a pair that never co-occurs
-    scores -inf, so the sum is -inf at the first one (no pair scores
-    +inf). A matrix with total 0 stores no pair, so there every pair is
-    one that never co-occurs.
+    so the float sum is always formed in the same order. Each target's
+    row is found once and each context index is searched in it. Under
+    ppmi and spmi a pair scores max(value, 0), so a pair that scores 0,
+    and every pair that never co-occurs, is skipped: adding 0.0 changes
+    no sum. Under pmi a pair that never co-occurs scores -inf, so the sum
+    is -inf at the first one (no pair scores +inf). A matrix with total 0
+    stores no pair, so there every pair is one that never co-occurs.
 
     pmi and ppmi share spmi's expression with ``norm`` = total and an
     exponent of 1: ``cm ** 1`` is the integer ``cm`` itself, so the values
@@ -367,8 +363,9 @@ def load_matrix(source: str | Path) -> ContextMatrix:
 
     Lines end only at ``\n``, ``\r\n`` or ``\r``, so a vocabulary word may
     hold any other line separator. The count lines are checked and
-    converted in blocks; only a file that breaks a rule is read again line
-    by line, to name the first bad line.
+    converted in blocks, each in time linear in its size; only a file
+    that breaks a rule is read again line by line, to name the first bad
+    line.
     """
     path = str(source)
     with decoding(path), open(source, encoding="utf-8") as fh:
@@ -420,8 +417,17 @@ def load_matrix(source: str | Path) -> ContextMatrix:
 
 def _read_count_blocks(fh, vocab_size: int) -> tuple[array, array, array] | None:
     """The CSR arrays of the count lines left in ``fh``, read in blocks of
-    lines; None when any line breaks a rule of ``_raise_at_first_bad_count_line``."""
-    targets, cols, vals = array("i"), array("i"), array("q")
+    lines; None when any line breaks a rule of ``_raise_at_first_bad_count_line``.
+
+    Each block is checked whole as it is read: the shape of its lines
+    (digits, two tabs, a line end), its values, and the range and order of
+    its pairs from the last pair of the block before on. A broken shape or
+    value ends the reading at its block; a pair out of range or order only
+    at the end of the file. So a bad file is read as far as it always
+    was, and a decoding error further on is met, or not, as before.
+    """
+    row_start, cols, vals = array("q"), array("i"), array("q")
+    last: tuple[int, int] | None = (-1, -1)  # None once a pair is out of range or order
     while True:
         lines = fh.readlines(_BLOCK_CHARS)
         if not lines:
@@ -429,23 +435,40 @@ def _read_count_blocks(fh, vocab_size: int) -> tuple[array, array, array] | None
         block = "".join(lines)
         if not block.endswith("\n"):
             block += "\n"  # the file's last line may lack its end
-        if not _COUNT_LINES.fullmatch(block):
+        if block.translate(_NO_DIGITS) != "\t\t\n" * len(lines):
             return None
         try:
             # Only digits, tabs and line ends are left: read the block as one
-            # JSON array, whose integers are converted in C.
+            # JSON array, whose integers are converted in C. JSON refuses an
+            # empty field and a leading zero.
             numbers = json.loads(f"[{block.translate(_TO_COMMAS)[:-1]}]")
-            targets.extend(numbers[0::3])
-            cols.extend(numbers[1::3])
-            vals.extend(numbers[2::3])
+            targets, contexts, counts = numbers[0::3], numbers[1::3], numbers[2::3]
+            cols.extend(contexts)
+            vals.extend(counts)
         except (OverflowError, ValueError):  # too large for an array, or for int()
             return None
-    pairs = zip(targets, cols)
-    if not all(map(operator.lt, pairs, zip(islice(targets, 1, None), islice(cols, 1, None)))):
+        if min(counts) < 1:
+            return None
+        pairs = zip(targets, contexts)
+        if (
+            last is not None
+            and targets[-1] < vocab_size
+            and max(contexts) < vocab_size
+            and last < (targets[0], contexts[0])
+            and all(map(operator.lt, pairs, zip(islice(targets, 1, None), islice(contexts, 1, None))))
+        ):
+            # The rows that start in this block, up to its last target's.
+            base = len(cols) - len(targets)
+            starts = range(len(row_start), targets[-1] + 1)
+            row_start.extend(base + bisect_left(targets, ti) for ti in starts)
+            last = targets[-1], contexts[-1]
+        elif max(targets) > _MAX_INDEX:  # too large for a C int, like a context
+            return None
+        else:
+            last = None
+    if last is None:
         return None
-    if targets and (targets[-1] >= vocab_size or max(cols) >= vocab_size):
-        return None
-    row_start = array("q", [bisect_left(targets, ti) for ti in range(vocab_size + 1)])
+    row_start.extend(repeat(len(cols), vocab_size + 1 - len(row_start)))
     return row_start, cols, vals
 
 

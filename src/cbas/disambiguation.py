@@ -267,13 +267,11 @@ class Stemmer:
         chosen = _choose(table, self.matrix)
         return StemResult(word, normalized, chosen.root, None, tuple(zip(candidates, table)))
 
-    def stem_tokens(self, tokens: Sequence[str], jobs: int = 1) -> list[StemResult]:
+    def stem_tokens(self, tokens: Sequence[str]) -> list[StemResult]:
         """Stem a raw token stream, each token in its in-stream context.
 
         Output order follows input order. Each kept word's vocabulary
-        index is looked up once per stream. ``jobs`` is accepted and
-        ignored: stemming runs serially, since the work is pure Python and
-        threads only made it slower.
+        index is looked up once per stream.
         """
         normalized = [normalize(t) for t in tokens]
         reasons = [self._skip_reason(norm) for norm in normalized]
@@ -289,5 +287,5 @@ class Stemmer:
                 pos += 1
         return results
 
-    def stem_text(self, text: str, jobs: int = 1) -> list[StemResult]:
-        return self.stem_tokens(tokenize(text), jobs=jobs)
+    def stem_text(self, text: str) -> list[StemResult]:
+        return self.stem_tokens(tokenize(text))

@@ -5,12 +5,15 @@ overlaps. The label-aware view (classification) credits a word only when
 its extracted root label equals its gold label; the label-agnostic view
 (clustering) credits raw overlap between the word's extracted and gold
 clusters regardless of labels, so its four scores always dominate the
-label-aware ones. All accumulation is done in exact rationals and only
-converted to float at the end, which keeps reports bit-stable.
+label-aware ones. Every sum is exact: integer numerators are summed per
+denominator (a cluster size), and one rational per denominator is formed
+at the end and only then converted to float, which keeps reports
+bit-stable.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -131,24 +134,32 @@ def _overlap_metrics(
 ) -> MetricsReport:
     if not words:
         raise ValueError("no words to evaluate")
-    acc = prec = rec = Fraction(0)
+    # Words with the same pair of clusters score the same.
+    pairs: Counter = Counter()
     for w in words:
         if w not in extracted.label_of:
             raise ValueError(f"word {w!r} missing from the extracted clustering")
         if w not in gold.label_of:
             raise ValueError(f"word {w!r} missing from the gold clustering")
-        x_label = extracted.label_of[w]
-        y_label = gold.label_of[w]
+        pairs[extracted.label_of[w], gold.label_of[w]] += 1
+    # Each sum keeps one integer numerator per denominator; every
+    # denominator is a cluster size, so there are few of them.
+    acc_sum: Counter = Counter()
+    prec_sum: Counter = Counter()
+    rec_sum: Counter = Counter()
+    for (x_label, y_label), k in pairs.items():
         x = extracted.clusters[x_label]
         y = gold.clusters[y_label]
-        overlap = 0 if (label_aware and x_label != y_label) else len(x & y)
-        acc += Fraction(overlap, len(x | y))
-        prec += Fraction(overlap, len(y))
-        rec += Fraction(overlap, len(x))
+        common = len(x & y)
+        overlap = 0 if (label_aware and x_label != y_label) else common
+        if overlap:
+            acc_sum[len(x) + len(y) - common] += k * overlap
+            prec_sum[len(y)] += k * overlap
+            rec_sum[len(x)] += k * overlap
     n = len(words)
-    acc /= n
-    prec /= n
-    rec /= n
+    acc, prec, rec = (
+        sum(map(Fraction, s.values(), s.keys()), Fraction(0)) / n for s in (acc_sum, prec_sum, rec_sum)
+    )
     f1 = 2 * prec * rec / (prec + rec) if prec > 0 and rec > 0 else Fraction(0)
     return MetricsReport(float(acc), float(prec), float(rec), float(f1), n)
 

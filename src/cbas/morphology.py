@@ -22,7 +22,9 @@ getters; and ``MorphResources`` groups its patterns by root arity and,
 within each length, by the positions of their literal letters. That
 last index is the template index: an infix is matched against a whole
 group with one dict lookup, so a 5-letter infix costs 10 lookups with
-the bundled patterns rather than 33 ``match`` calls.
+the bundled patterns rather than 33 ``match`` calls. ``MorphResources``
+also keeps the weak skeleton of every root, so that a raw root none of
+whose weak variants is a root is dropped before they are built.
 """
 
 from __future__ import annotations
@@ -171,7 +173,8 @@ class MorphResources:
     index): a group maps the letters read at its positions to its
     templates with those letters. ``templates_matching`` then costs one
     getter call and one dict lookup per group, not one ``match`` per
-    template.
+    template. It also holds the weak skeleton of every root (see
+    ``may_reach_root``).
     """
 
     affixes: AffixLists
@@ -180,6 +183,7 @@ class MorphResources:
     _by_arity: dict[int, tuple[Pattern, ...]] = field(init=False, repr=False, compare=False)
     # length -> ((literal getter, {literal letters: ((file index, pattern), ...)}), ...)
     _by_literals: dict[int, tuple] = field(init=False, repr=False, compare=False)
+    _weak_skeletons: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         by_arity: dict[int, list[Pattern]] = {}
@@ -194,6 +198,7 @@ class MorphResources:
             n: tuple((getter, {key: tuple(hits) for key, hits in table.items()}) for getter, table in groups.values())
             for n, groups in by_literals.items()
         })
+        object.__setattr__(self, "_weak_skeletons", frozenset(map(_weak_skeleton, self.roots)))
 
     def patterns_of_arity(self, arity: int) -> tuple[Pattern, ...]:
         """The templates that take an ``arity``-letter root, in file order."""
@@ -209,6 +214,12 @@ class MorphResources:
                 hits += found
         hits.sort()
         return [(pattern, raw) for _, pattern in hits if (raw := pattern._root_of(infix)) is not None]
+
+    def may_reach_root(self, raw_root: str) -> bool:
+        """False only when no weak variant of ``raw_root`` is a root: for a raw
+        root of three letters or more whose weak skeleton is no root's.
+        Two-letter raw roots grow by insertion, so they always pass."""
+        return len(raw_root) < 3 or _weak_skeleton(raw_root) in self._weak_skeletons
 
 
 def parse_pattern(line: str, *, path: str | None = None, lineno: int | None = None) -> Pattern:
@@ -255,6 +266,13 @@ def segment(word: str, affixes: AffixLists) -> list[Segmentation]:
     own leading and trailing letter runs, up to the longest affix, are
     looked up in the lists.
     """
+    return [Segmentation(prefix, infix, suffix) for _, prefix, suffix, infix in _splits(word, affixes)]
+
+
+def _splits(word: str, affixes: AffixLists) -> list[tuple[int, str, str, str]]:
+    """``(-len(infix), prefix, suffix, infix)`` of each split of ``segment``,
+    in its order: a prefix and a suffix fix the infix, so plain tuple
+    order is that order."""
     n = len(word)
     prefixes, suffixes = affixes.prefixes, affixes.suffixes
     splits = []
@@ -265,9 +283,16 @@ def segment(word: str, affixes: AffixLists) -> list[Segmentation]:
         for m in range(min(affixes.longest_suffix, n - k - 2) + 1):
             s = word[n - m:]
             if s in suffixes:
-                splits.append(Segmentation(p, word[k:n - m], s))
-    splits.sort(key=lambda seg: (-len(seg.infix), seg.prefix, seg.suffix))
+                splits.append((k + m - n, p, s, word[k:n - m]))
+    splits.sort()
     return splits
+
+
+def _weak_skeleton(root: str) -> str:
+    """``root`` with each weak letter folded to ا. Substituting one weak
+    letter for another keeps it, so every weak variant of a raw root of
+    three letters or more has the raw root's skeleton."""
+    return root.replace("و", "ا").replace("ي", "ا")
 
 
 def _weak_variants(raw_root: str) -> Iterator[tuple[str, str | None]]:
@@ -318,19 +343,27 @@ def generate_candidates(word: str, resources: MorphResources) -> list[CandidateR
     variant of the extracted raw root; a two-letter infix is taken as a
     raw root directly. Deduplicated by root string, first derivation
     wins; the order is fully deterministic.
+
+    The weak variants of a raw root are only built when
+    ``resources.may_reach_root`` lets it through, and a segmentation only
+    for a split that yields a candidate.
     """
     roots = resources.roots
     candidates: list[CandidateRoot] = []
     seen: set[str] = set()
-    for seg in segment(word, resources.affixes):
-        infix = seg.infix
+    for _, prefix, suffix, infix in _splits(word, resources.affixes):
         routes = resources.templates_matching(infix)
         if len(infix) == 2:
             routes.append((None, infix))
+        seg = None
         for pattern, raw in routes:
+            if not resources.may_reach_root(raw):
+                continue
             for variant, tag in _weak_variants(raw):
                 if variant in roots and variant not in seen:
                     seen.add(variant)
+                    if seg is None:
+                        seg = Segmentation(prefix, infix, suffix)
                     candidates.append(CandidateRoot(variant, seg, pattern, tag))
     return candidates
 

@@ -1,11 +1,13 @@
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from cbas import cooccurrence
 from cbas.cooccurrence import (
     AssociationMeasure,
     ContextMatrix,
@@ -111,10 +113,6 @@ class TestBuildMatrix:
         for w in combined.vocab.words:
             for c in combined.vocab.words:
                 assert combined.count(w, c) == part_a.count(w, c) + part_b.count(w, c)
-
-    def test_parallel_equals_sequential(self):
-        docs = [["a", "b", "c", "a"], ["b", "c", "d"], ["d", "a"]] * 5
-        assert build_matrix(docs, 3, jobs=4) == build_matrix(docs, 3)
 
 
 class TestFixtureMatrix:
@@ -348,8 +346,17 @@ class TestPersistence:
             ("119\t120\t1", "word index out of range"),
             ("119\t" + "9" * 5000 + "\t1", "word index out of range"),
             ("119\t1", "count line must be <target>\\t<context>\\t<count>"),
+            # Lines that JSON or the shape check alone would let through.
+            ("119\t1\t1.0", "count line fields must be plain integers"),
+            ("119\t1\t1e3", "count line fields must be plain integers"),
+            ("119\t-1\t1", "count line fields must be plain integers"),
+            ("119\t\t1", "count line fields must be plain integers"),
+            ("119\t1\t1\t", "count line must be <target>\\t<context>\\t<count>"),
+            ("\n119\t1\t1", "count line must be <target>\\t<context>\\t<count>"),
+            ("119\t1\x85\t1", "count line fields must be plain integers"),
         ],
-        ids=["zero", "too-large-count", "index-at-vocab-size", "5000-digit-index", "two-fields"],
+        ids=["zero", "too-large-count", "index-at-vocab-size", "5000-digit-index", "two-fields",
+             "decimal", "exponent", "negative", "empty-field", "three-tabs", "blank-line", "nel"],
     )
     def test_bad_count_line_after_good_blocks_is_named(self, tmp_path, line, message):
         # The good lines fill more than one block, so the bad line is met by a
@@ -367,6 +374,85 @@ class TestPersistence:
         with pytest.raises(FormatError) as err:
             load_matrix(path)
         assert str(err.value) == f"{path}:{2 + vocab + len(good)}: {message}"
+
+    def test_pairs_out_of_order_across_a_block_boundary_are_named(self, tmp_path):
+        # Blocks are read with readlines(64k): the first one ends with the
+        # first line that takes its length past 64k characters.
+        vocab = 120
+        words = "".join(f"{i}\tw{i}\n" for i in range(vocab))
+        good = [f"{t}\t{c}\t1\n" for t in range(vocab - 1) for c in range(vocab)]
+        length, end = 0, 0
+        while length <= 64 * 1024:
+            length += len(good[end])
+            end += 1
+        path = tmp_path / "m.tsv"
+        for at in range(end - 2, end + 3):
+            for lines, message in (
+                (good[:at] + [good[at - 1]] + good[at + 1:], "duplicate (target, context) pair"),
+                (good[:at - 1] + [good[at], good[at - 1]] + good[at + 1:],
+                 "count lines must be in ascending (target, context) order"),
+            ):
+                path.write_text(
+                    f"CBAS-MATRIX\tv1\twindow=2\ttotal={len(lines)}\tvocab={vocab}\n{words}" + "".join(lines),
+                    encoding="utf-8",
+                )
+                with pytest.raises(FormatError) as err:
+                    load_matrix(path)
+                assert str(err.value) == f"{path}:{2 + vocab + at}: {message}"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("3000\tw17", "empty or duplicate vocabulary word 'w17'"),
+            ("3000\t", "empty or duplicate vocabulary word ''"),
+            ("3000 w3000", "vocabulary line must be <index>\\t<word>"),
+            ("3000\tw3000\tx", "vocabulary line must be <index>\\t<word>"),
+            ("3001\tw3000", "vocabulary index out of order (expected 3000)"),
+            ("03000\tw3000", "vocabulary index is not a plain integer"),
+        ],
+        ids=["duplicate", "empty", "no-tab", "two-tabs", "skipped-index", "leading-zero"],
+    )
+    def test_bad_vocabulary_line_after_3000_good_ones(self, tmp_path, line, message):
+        vocab = 3010
+        words = [f"{i}\tw{i}" for i in range(vocab)]
+        words[3000] = line
+        path = tmp_path / "m.tsv"
+        path.write_text(
+            f"CBAS-MATRIX\tv1\twindow=2\ttotal=1\tvocab={vocab}\n" + "".join(w + "\n" for w in words) + "0\t1\t1\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(FormatError) as err:
+            load_matrix(path)
+        assert str(err.value) == f"{path}:3002: {message}"
+
+    @given(documents, st.integers(min_value=2, max_value=4), st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
+    def test_a_valid_file_is_never_read_line_by_line(self, tmp_path, docs, n, end, last_end):
+        m = build_matrix(docs, n)
+        path = tmp_path / "m.tsv"
+        save_matrix(m, path)
+        text = path.read_text(encoding="utf-8").replace("\n", end)
+        path.write_bytes((text if last_end else text.removesuffix(end)).encode("utf-8"))
+        refuse = mock.Mock(side_effect=AssertionError("count lines read one by one"))
+        with mock.patch.object(cooccurrence, "_raise_at_first_bad_count_line", refuse):
+            assert load_matrix(path) == m
+
+    def test_loading_holds_no_copy_that_grows_with_the_pairs(self, tmp_path):
+        # Beyond what the loaded matrix holds, the reader keeps one block of
+        # lines at a time (about 1.4 MB here), and nothing per pair.
+        rng = random.Random(0)
+        docs = [[f"w{rng.randrange(3000)}" for _ in range(1000)] for _ in range(40)]
+        path = tmp_path / "m.tsv"
+        save_matrix(build_matrix(docs, 3), path)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            matrix = load_matrix(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(matrix.counts) >= 150_000
+        assert (peak - held) / len(matrix.counts) <= 12
 
     def test_vocabulary_order_preserved(self, tmp_path):
         m = build_matrix([["ب", "ا"]], 2)

@@ -230,10 +230,6 @@ class TestStemmer:
         stream = ["الرجل", "يقول", "الحق", "وقال", "24", "."]
         assert mini_stemmer.stem_tokens(stream) == mini_stemmer.stem_tokens(stream)
 
-    def test_parallel_matches_sequential(self, mini_stemmer):
-        stream = ["الرجل", "يقول", "الحق", "وقال"] * 6
-        assert mini_stemmer.stem_tokens(stream, jobs=4) == mini_stemmer.stem_tokens(stream)
-
     def test_spmi_alpha_one_selects_like_ppmi(self, toy_resources, mini_matrix):
         spmi1 = Stemmer(toy_resources, STOPWORDS, mini_matrix, AssociationMeasure("spmi", 1.0))
         ppmi = Stemmer(toy_resources, STOPWORDS, mini_matrix, AssociationMeasure("ppmi"))

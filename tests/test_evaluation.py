@@ -206,10 +206,8 @@ class TestAgainstOracle:
             for label_aware, func in ((True, classification_metrics), (False, clustering_metrics)):
                 got = func(ext_cs, gold_cs, words)
                 want = oracle_cluster_metrics(ext_sets, gold_sets, words, label_aware)
-                assert got.accuracy == pytest.approx(float(want[0]), abs=1e-12)
-                assert got.precision == pytest.approx(float(want[1]), abs=1e-12)
-                assert got.recall == pytest.approx(float(want[2]), abs=1e-12)
-                assert got.f1 == pytest.approx(float(want[3]), abs=1e-12)
+                # The same exact rationals, so the same floats.
+                assert (got.accuracy, got.precision, got.recall, got.f1) == tuple(map(float, want))
 
     def test_clustering_dominates_classification(self):
         rng = random.Random(97)

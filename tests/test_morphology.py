@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from cbas.errors import FormatError
 from cbas.morphology import (
     AffixLists,
+    MorphResources,
     Segmentation,
+    _weak_variants,
     bundled_resource_dir,
     expand_weak,
     generate_candidates,
@@ -228,6 +230,29 @@ class TestGenerateCandidates:
             for c in generate_candidates(word, bundled_resources):
                 assert c.root in bundled_resources.roots
                 assert c.segmentation.prefix + c.segmentation.infix + c.segmentation.suffix == word
+
+
+class TestWeakSkeletonFilter:
+    """``may_reach_root`` never turns away a raw root with a weak variant in
+    the dictionary; the candidate lists themselves are pinned above."""
+
+    LETTERS = "اويكتب"
+
+    @given(st.text(alphabet=LETTERS, min_size=2, max_size=5), st.data())
+    def test_passes_every_raw_root_with_a_variant_in_the_dictionary(self, raw, data):
+        roots = set(data.draw(st.lists(st.text(alphabet=self.LETTERS, min_size=3, max_size=5), max_size=6)))
+        variants = [variant for variant, _ in _weak_variants(raw) if 3 <= len(variant) <= 5]
+        if variants and data.draw(st.booleans()):
+            roots.add(data.draw(st.sampled_from(variants)))
+        resources = MorphResources(AffixLists(frozenset({""}), frozenset({""})), (), frozenset(roots))
+        if any(variant in roots for variant, _ in _weak_variants(raw)):
+            assert resources.may_reach_root(raw)
+
+    def test_turns_away_a_raw_root_no_substitution_makes_a_root(self):
+        resources = MorphResources(AffixLists(frozenset({""}), frozenset({""})), (), frozenset({"قول", "كتب"}))
+        assert resources.may_reach_root("قال") and resources.may_reach_root("قيل")
+        assert not resources.may_reach_root("قلل") and not resources.may_reach_root("كتاب")
+        assert resources.may_reach_root("قل")
 
 
 class TestLoadResources:

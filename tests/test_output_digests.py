@@ -122,4 +122,5 @@ def test_demo_stdout_bytes(demo):
         cwd=REPO_ROOT, env=env, capture_output=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    assert b"Traceback" not in proc.stdout + proc.stderr
     assert sha256(proc.stdout) == DEMOS[demo]
