@@ -3,7 +3,9 @@
 Each digest was taken from the program before its per-word kernels were
 rewritten for speed, so any change to what ``build-matrix``, ``stem`` or
 ``evaluate`` writes on the bundled data fails here; the demos' digests
-pin what each ``demos/*.py`` prints. A change that means to alter the
+pin what each ``demos/*.py`` prints. The digests of a seeded corpus in
+mixed spellings and scripts were taken from the program that normalized
+one token at a time and counted each window pair twice. A change that means to alter the
 output updates the digests and says why.
 """
 
@@ -11,6 +13,7 @@ import contextlib
 import hashlib
 import io
 import os
+import random
 import subprocess
 import sys
 
@@ -26,6 +29,20 @@ STOPWORDS = RESOURCES / "stopwords.txt"
 
 BUILD_FILE = "7b832937b03e1ca5f6bd683f566af49732750d4c958dffcb8a2d948b901977ad"
 BUILD_STDOUT = "c6c89b65109cc536e6435594bb7b3c2d95350f1d52efc7eb22c336f14e108548"
+
+# The matrix file and standard output of ``build-matrix`` over
+# ``mixed_corpus(MIXED_SEED)``, by window size.
+MIXED_SEED = 18
+MIXED_BUILD = {
+    2: (
+        "a39dea3bdc2c97adec00c1a60b9db9a245fd4df36b9e9f81d71d0aa4fa38694f",
+        "b5a9f32f2067787f2dab760f9b7b3a112ddcb6fbab3dd9bcb940f87f45999eeb",
+    ),
+    5: (
+        "cf26e5c99a74ab31c45fd7118f459f59afea00dc15c4eeda03d9123dd9041c46",
+        "2bd86ebd48c65b3c1d1274a9af95ab2b8416ea7e1f41c480a77765052e42a25f",
+    ),
+}
 
 STEM = {
     ("pmi", "previous"): "f8ec4805eae656a3fa26ba1c1fae6e74c087256e4fdc16fd95157c100d09d145",
@@ -84,6 +101,47 @@ def bundled(tmp_path_factory):
     return matrix, out, document
 
 
+# Words in several spellings: diacritics, tatweel, the hamza-carrying alef
+# forms and alef maqsura all fold away, so each spelling counts as the
+# same normalized word. على and إلى fold onto stopwords.
+MIXED_WORDS = [
+    "كتب", "كاتب", "مكتوب", "والكتاب", "درس", "مدرسة", "بالمدرسة", "أكل", "إسلام", "آمن", "أمّ",
+    "مستشفى", "هدى", "مصطفى", "على", "إلى", "قال", "يقول", "سأل", "مسؤول", "رئيس",
+]
+MIXED_MARKS = "ًٌٍَُِّْـ"
+MIXED_ODD = ["123", "٣٤", "abc", "X", "،", "...", "(", ")", "$", "ًّ", "ـ"]
+MIXED_LONE = ["وحيد", "فريد", "نادر"]
+MIXED_SPACES = [" ", " ", " ", "\u00a0", "\u2003", "\u001c", "\t"]
+
+
+def mixed_corpus(seed: int, docs: int = 300) -> str:
+    """A line-per-document corpus that takes every path of ``prepare``:
+    marked and folded spellings, digits, punctuation and Latin glued to
+    words or standing alone, and unusual whitespace between them. Every
+    twentieth document is one of ``MIXED_LONE``, which stands alone
+    wherever it occurs, so it has no stored pair."""
+    rng = random.Random(seed)
+    lines = []
+    for n in range(docs):
+        if n % 20 == 0:
+            lines.append(f"{MIXED_LONE[n // 20 % len(MIXED_LONE)]}ـ{n}\n")
+            continue
+        pieces = []
+        for _ in range(rng.randrange(0, 25)):
+            word = rng.choice(MIXED_WORDS)
+            if rng.random() < 0.4:
+                at = rng.randrange(1, len(word) + 1)
+                word = word[:at] + rng.choice(MIXED_MARKS) + word[at:]
+            if rng.random() < 0.2:
+                glued = rng.choice(MIXED_ODD)
+                word = word + glued if rng.random() < 0.5 else glued + word
+            if rng.random() < 0.1:
+                word = rng.choice(MIXED_ODD)
+            pieces.append(word + rng.choice(MIXED_SPACES))
+        lines.append("".join(pieces) + "\n")
+    return "".join(lines)
+
+
 def scoring(matrix, kind, context):
     return [
         "--matrix", str(matrix), "--resources", str(RESOURCES), "--stopwords", str(STOPWORDS),
@@ -94,6 +152,18 @@ def scoring(matrix, kind, context):
 def test_build_matrix_bytes(bundled):
     matrix, out, _ = bundled
     assert (sha256(matrix.read_bytes()), sha256(out)) == (BUILD_FILE, BUILD_STDOUT)
+
+
+@pytest.mark.parametrize("window", list(MIXED_BUILD))
+def test_mixed_corpus_build_bytes(tmp_path, window):
+    corpus = tmp_path / "mixed.txt"
+    corpus.write_text(mixed_corpus(MIXED_SEED), encoding="utf-8")
+    matrix = tmp_path / "matrix.tsv"
+    out = run([
+        "build-matrix", "--corpus", str(corpus), "--corpus-format", "lines", "--stopwords", str(STOPWORDS),
+        "--window", str(window), "--out", str(matrix),
+    ])
+    assert (sha256(matrix.read_bytes()), sha256(out)) == MIXED_BUILD[window]
 
 
 @pytest.mark.parametrize("kind, context", list(STEM))
