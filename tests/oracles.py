@@ -6,10 +6,11 @@ the per-word formulas with exact rationals, and candidate roots from the
 generation side (root x pattern x affix pair, modulo one weak-letter
 edit). The tests compare the library against these.
 
-The last three are the plain loops that the library's per-word kernels
-replaced, kept as references: tokenizing one character at a time,
-instantiating one template at a time, and matching every template of an
-infix's length cell by cell.
+The rest are the plain loops that faster library code replaced, kept
+as references: tokenizing one character at a time, instantiating one
+template at a time, matching every template of an infix's length cell
+by cell, normalizing one token at a time, and writing a matrix file one
+line at a time.
 """
 
 from __future__ import annotations
@@ -235,3 +236,29 @@ def oracle_generate_candidates(word, resources):
                     seen.add(variant)
                     found.append((variant, seg, pattern, tag))
     return found
+
+
+def oracle_prepare(text, stopwords):
+    """One document's kept tokens, each token normalized on its own after
+    tokenizing."""
+    from cbas.corpus import filter_tokens, normalize, tokenize
+
+    return filter_tokens(map(normalize, tokenize(text)), stopwords)
+
+
+def oracle_save_matrix(matrix, destination):
+    """Write the matrix file one ``write`` per vocabulary line and one
+    formatted line per stored pair."""
+    from cbas.cooccurrence import FILE_MAGIC, FILE_VERSION
+
+    row_start, cols, vals = matrix.row_start, matrix.cols, matrix.vals
+    with open(destination, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(
+            f"{FILE_MAGIC}\t{FILE_VERSION}\twindow={matrix.window_n}"
+            f"\ttotal={matrix.total}\tvocab={len(matrix.vocab)}\n"
+        )
+        for idx, word in enumerate(matrix.vocab.words):
+            fh.write(f"{idx}\t{word}\n")
+        for ti in range(len(matrix.vocab)):
+            a, b = row_start[ti], row_start[ti + 1]
+            fh.writelines(f"{ti}\t{ci}\t{c}\n" for ci, c in zip(cols[a:b], vals[a:b]))

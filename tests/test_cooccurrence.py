@@ -21,7 +21,7 @@ from cbas.cooccurrence import (
 from cbas.errors import FormatError
 
 from .conftest import FIXTURE_COUNTS
-from .oracles import oracle_association, window_pairs
+from .oracles import oracle_association, oracle_save_matrix, window_pairs
 
 words = st.sampled_from([f"w{i}" for i in range(8)])
 documents = st.lists(st.lists(words, max_size=12), max_size=5)
@@ -483,6 +483,26 @@ class TestPersistence:
         path = tmp_path / "m.tsv"
         save_matrix(m, path)
         assert load_matrix(path) == m
+
+    @given(documents, st.integers(min_value=2, max_value=6))
+    @example(docs=[["w0", "a\x85b", "w1", "c\u2028d"], ["alone"], []], n=3)
+    def test_writes_the_per_line_reference_bytes(self, tmp_path, docs, n):
+        m = build_matrix(docs, n)
+        save_matrix(m, tmp_path / "m.tsv")
+        oracle_save_matrix(m, tmp_path / "reference.tsv")
+        assert (tmp_path / "m.tsv").read_bytes() == (tmp_path / "reference.tsv").read_bytes()
+
+    def test_loaded_asymmetric_matrix_sums_its_context_marginals(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_text(
+            "CBAS-MATRIX\tv1\twindow=2\ttotal=10\tvocab=3\n0\ta\n1\tb\n2\tc\n"
+            "0\t1\t3\n0\t2\t4\n2\t0\t1\n2\t2\t2\n",
+            encoding="utf-8",
+        )
+        m = load_matrix(path)
+        assert m.target_marginals == [7, 0, 3]
+        assert m.context_marginals == [1, 3, 6]
+        assert m.total == 10
 
     @given(st.one_of(st.binary(), st.text().map(str.encode)))
     @example(data=VALID_FILE.encode())

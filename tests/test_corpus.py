@@ -2,7 +2,8 @@ import string
 import sys
 import unicodedata
 
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbas import corpus
@@ -18,7 +19,7 @@ from cbas.corpus import (
     tokenize,
 )
 
-from .oracles import oracle_tokenize
+from .oracles import oracle_prepare, oracle_tokenize
 
 ARABIC_LETTERS = "".join(chr(c) for c in range(0x0621, 0x064B))
 DIACRITICS = "".join(chr(c) for c in range(0x064B, 0x0653)) + "ـ"
@@ -184,3 +185,19 @@ class TestPrepare:
         stop = frozenset(["ان"])
         out = prepare("قَالَ إن الدورة 23 .", stop)
         assert out == ["قال", "الدورة"]
+
+    @pytest.mark.parametrize("text", [
+        "!ً?",  # a diacritic alone between punctuation
+        "1ـ2",  # tatweel between digits
+        "ًٌ كتب",  # a token of diacritics only
+        "إلى\u00a0على\u2003أكل",  # stopwords once their alef forms fold
+        "كَتَبَ123ـقال",
+    ])
+    def test_same_kept_tokens_as_normalizing_each_token(self, bundled_stopwords, text):
+        assert prepare(text, bundled_stopwords) == oracle_prepare(text, bundled_stopwords)
+
+    @settings(max_examples=500)
+    @given(mixed_text, st.sets(st.sampled_from(["ا", "و", "ب", "في", "الي", "علي"])))
+    def test_equals_per_token_reference(self, text, stopwords):
+        stopwords = frozenset(stopwords)
+        assert prepare(text, stopwords) == oracle_prepare(text, stopwords)
