@@ -113,15 +113,32 @@ class ContextMatrix:
 
     @classmethod
     def _of_rows(
-        cls, window_n: int, vocab: Vocabulary, row_start: array, cols: array, vals: array
+        cls,
+        window_n: int,
+        vocab: Vocabulary,
+        row_start: array,
+        cols: array,
+        vals: array,
+        _symmetric: bool = False,
     ) -> ContextMatrix:
-        """A matrix over CSR arrays that already keep the rules; nothing is copied."""
+        """A matrix over CSR arrays that already keep the rules; nothing is copied.
+
+        ``_symmetric`` says that every ``count(a, b)`` equals ``count(b, a)``,
+        as in a built matrix; then each context marginal is the target
+        marginal of the same word, and the pairs are not summed again.
+        """
         matrix = cls.__new__(cls)
-        matrix._adopt(window_n, vocab, row_start, cols, vals)
+        matrix._adopt(window_n, vocab, row_start, cols, vals, _symmetric)
         return matrix
 
     def _adopt(
-        self, window_n: int, vocab: Vocabulary, row_start: array, cols: array, vals: array
+        self,
+        window_n: int,
+        vocab: Vocabulary,
+        row_start: array,
+        cols: array,
+        vals: array,
+        symmetric: bool = False,
     ) -> None:
         if window_n < 2:
             raise ValueError(f"window_n must be >= 2, got {window_n}")
@@ -131,9 +148,12 @@ class ContextMatrix:
         self.target_marginals = [
             sum(vals[row_start[ti]:row_start[ti + 1]]) for ti in range(len(vocab))
         ]
-        self.context_marginals = cms = [0] * len(vocab)
-        for ci, c in zip(cols, vals):
-            cms[ci] += c
+        if symmetric:
+            self.context_marginals = list(self.target_marginals)
+        else:
+            self.context_marginals = cms = [0] * len(vocab)
+            for ci, c in zip(cols, vals):
+                cms[ci] += c
         self.total = sum(self.target_marginals)
         self._alpha_norms: dict[float, float] = {}
 
@@ -238,22 +258,29 @@ def build_matrix(documents: Iterable[Iterable[str]], window_n: int) -> ContextMa
     boundaries. Documents must already be normalized and stopword-filtered.
     ``documents`` and each document are read once, in order, so either
     may be a generator.
+
+    Each pair within a window is counted once, from its left end, into
+    the rows of both its words, so the counts are symmetric and each
+    word's context marginal is its target marginal. Words get their
+    indices in order of first occurrence.
     """
     if window_n < 2:
         raise ValueError(f"window_n must be >= 2, got {window_n}")
-    vocab = Vocabulary()
+    index: dict[str, int] = {}
     rows: list[dict[int, int]] = []  # per target: context index -> count
     reach = window_n - 1
     for words in documents:
-        doc = [vocab.add(w) for w in words]
-        rows.extend({} for _ in range(len(vocab) - len(rows)))
+        doc = [index.setdefault(w, len(index)) for w in words]
+        rows.extend({} for _ in range(len(index) - len(rows)))
         for i, wi in enumerate(doc):
             row = rows[wi]
-            for cj in doc[max(0, i - reach):i]:
-                row[cj] = row.get(cj, 0) + 1
             for cj in doc[i + 1:i + 1 + reach]:
                 row[cj] = row.get(cj, 0) + 1
-    return ContextMatrix._of_rows(window_n, vocab, *_freeze(rows))
+                other = rows[cj]
+                other[wi] = other.get(wi, 0) + 1
+    vocab = Vocabulary()
+    vocab.words, vocab.index = list(index), index
+    return ContextMatrix._of_rows(window_n, vocab, *_freeze(rows), _symmetric=True)
 
 
 def association(
@@ -331,18 +358,29 @@ def association_total(
 
 
 def save_matrix(matrix: ContextMatrix, destination: str | Path) -> None:
-    """Write the documented TSV format; triplets sorted by (target, context)."""
+    """Write the documented TSV format; triplets sorted by (target, context).
+
+    The vocabulary goes out in one ``writelines`` and each row's count
+    lines as one string. A word that is empty or holds a tab or a line
+    end could not be read back, so it raises ValueError before the file
+    is opened.
+    """
+    words = matrix.vocab.words
+    for idx, word in enumerate(words):
+        if not word or "\t" in word or "\n" in word or "\r" in word:
+            raise ValueError(f"vocabulary word {idx} cannot be saved: {word!r} is empty or holds a tab or line end")
     row_start, cols, vals = matrix.row_start, matrix.cols, matrix.vals
     with open(destination, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
             f"{FILE_MAGIC}\t{FILE_VERSION}\twindow={matrix.window_n}"
-            f"\ttotal={matrix.total}\tvocab={len(matrix.vocab)}\n"
+            f"\ttotal={matrix.total}\tvocab={len(words)}\n"
         )
-        for idx, word in enumerate(matrix.vocab.words):
-            fh.write(f"{idx}\t{word}\n")
-        for ti in range(len(matrix.vocab)):
+        fh.writelines(map("{}\t{}\n".format, range(len(words)), words))
+        for ti in range(len(words)):
             a, b = row_start[ti], row_start[ti + 1]
-            fh.writelines(f"{ti}\t{ci}\t{c}\n" for ci, c in zip(cols[a:b], vals[a:b]))
+            if a < b:
+                head = f"{ti}\t"
+                fh.write(head + ("\n" + head).join(map("{}\t{}".format, cols[a:b], vals[a:b])) + "\n")
 
 
 def _header_field(field_text: str, name: str, path: str) -> int:

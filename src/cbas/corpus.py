@@ -81,8 +81,9 @@ def tokenize(text: str) -> list[str]:
 
 
 def normalize(text: str) -> str:
-    """Normalize one token: drop diacritics/tatweel, fold alef variants to
-    bare alef and alef maqsura to yeh. May return "" for all-diacritic input.
+    """Normalize a token or a whole text: drop diacritics/tatweel, fold
+    alef variants to bare alef and alef maqsura to yeh. May return "" for
+    all-diacritic input.
     """
     text = _DIACRITICS_AND_TATWEEL.sub("", text)
     text = _ALEF_VARIANTS.sub("ا", text)
@@ -111,8 +112,18 @@ def filter_tokens(tokens: Iterable[str], stopwords: frozenset[str]) -> list[str]
 
 
 def prepare(text: str, stopwords: frozenset[str]) -> list[str]:
-    """Tokenize, normalize, and filter one document into its token stream."""
-    return filter_tokens(map(normalize, tokenize(text)), stopwords)
+    """Normalize, tokenize, and filter one document into its token stream.
+
+    The whole text is normalized at once, before tokenizing, and the kept
+    tokens are those that normalizing each token would give. Normalizing
+    only deletes or substitutes word-class characters (diacritics,
+    tatweel, alef forms, alef maqsura), so whitespace, punctuation,
+    symbols and digits, which bound every word token, stay where they
+    were. Only dropped tokens can differ: a run of diacritics vanishes
+    rather than becoming "", and the punctuation or digit runs around it
+    may merge.
+    """
+    return filter_tokens(tokenize(normalize(text)), stopwords)
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:

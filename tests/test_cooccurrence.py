@@ -492,6 +492,14 @@ class TestPersistence:
         oracle_save_matrix(m, tmp_path / "reference.tsv")
         assert (tmp_path / "m.tsv").read_bytes() == (tmp_path / "reference.tsv").read_bytes()
 
+    @pytest.mark.parametrize("word", ["a\tb", "a\nb", "a\rb", ""], ids=["tab", "newline", "return", "empty"])
+    def test_word_that_cannot_be_read_back_is_refused_before_writing(self, tmp_path, word):
+        m = ContextMatrix(2, Vocabulary(["x", word]), {(0, 1): 1, (1, 0): 1})
+        path = tmp_path / "m.tsv"
+        with pytest.raises(ValueError, match="vocabulary word 1"):
+            save_matrix(m, path)
+        assert not path.exists()
+
     def test_loaded_asymmetric_matrix_sums_its_context_marginals(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_text(
