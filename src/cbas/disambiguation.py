@@ -17,6 +17,7 @@ so a run never repeats that pure work for a word or a root it has seen.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -25,7 +26,7 @@ from .cooccurrence import AssociationMeasure, ContextMatrix, Vocabulary, associa
 # importable from here: bench/tracing.py wraps it at this module.
 from .cooccurrence import association  # noqa: F401
 from .corpus import filter_tokens, is_kept, normalize, tokenize
-from .morphology import CandidateRoot, MorphResources, Pattern, generate_candidates
+from .morphology import _SLOT_CHARS, CandidateRoot, MorphResources, Pattern, generate_candidates
 
 CONTEXT_MODES = ("previous", "window")
 
@@ -62,9 +63,11 @@ class StemResult:
     scored: tuple[tuple[CandidateRoot, ScoredRoot], ...] = ()
 
 
-# Joins the templates of one arity so that a single str.format fills them
-# all; no template or dictionary root holds it.
+# Joins the digit-slot forms of one arity's templates so that one
+# str.replace per slot fills them all; no template or dictionary root
+# holds it, nor a slot digit.
 _FORM_SEPARATOR = "\t"
+_NOT_IN_A_ROOT = re.compile(f"[{_FORM_SEPARATOR}{_SLOT_CHARS}]")
 
 
 def derive_words(
@@ -75,16 +78,19 @@ def derive_words(
     Instantiates every pattern whose arity matches, adds the bare root,
     and keeps the in-vocabulary subset (sorted). When nothing survives,
     falls back to the bare root alone so scoring still has a subject.
-    The matching templates are joined by a tab and filled by one
-    ``str.format`` call, so ``root`` must not hold a tab.
+    The matching templates are joined by a tab in their digit-slot form,
+    and each slot digit is replaced by its root letter with one
+    ``str.replace``, so ``root`` must not hold a tab or a slot digit.
     """
-    if _FORM_SEPARATOR in root:
-        raise ValueError(f"a root cannot hold a tab: {root!r}")
+    if _NOT_IN_A_ROOT.search(root):
+        raise ValueError(f"a root cannot hold a tab or a digit 1-5: {root!r}")
     arity = len(root)
-    templates = [p.template for p in patterns if p.root_arity == arity]
     forms = {root}
-    if templates:
-        forms.update(_FORM_SEPARATOR.join(templates).format(*root).split(_FORM_SEPARATOR))
+    filled = _FORM_SEPARATOR.join([p.source for p in patterns if p.root_arity == arity])
+    if filled:
+        for slot, letter in zip(_SLOT_CHARS, root):
+            filled = filled.replace(slot, letter)
+        forms.update(filled.split(_FORM_SEPARATOR))
     known = sorted(filter(vocabulary.__contains__, forms))
     return known if known else [root]
 

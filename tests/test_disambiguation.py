@@ -88,6 +88,11 @@ class TestDeriveWords:
         with pytest.raises(ValueError):
             derive_words("ك\tب", (parse_pattern("123"),), {})
 
+    @pytest.mark.parametrize("root", ["ك2ب", "1تب", "كت5", "ك4"])
+    def test_root_with_a_slot_digit_is_rejected(self, root):
+        with pytest.raises(ValueError):
+            derive_words(root, (parse_pattern("123"),), {})
+
 
 class TestScoreRoot:
     def test_single_pair_equals_association(self, toy_resources, mini_matrix):
