@@ -113,12 +113,7 @@ class ContextMatrix:
 
     @classmethod
     def _of_rows(
-        cls,
-        window_n: int,
-        vocab: Vocabulary,
-        row_start: array,
-        cols: array,
-        vals: array,
+        cls, window_n: int, vocab: Vocabulary, row_start: array, cols: array, vals: array,
         _symmetric: bool = False,
     ) -> ContextMatrix:
         """A matrix over CSR arrays that already keep the rules; nothing is copied.
@@ -132,12 +127,7 @@ class ContextMatrix:
         return matrix
 
     def _adopt(
-        self,
-        window_n: int,
-        vocab: Vocabulary,
-        row_start: array,
-        cols: array,
-        vals: array,
+        self, window_n: int, vocab: Vocabulary, row_start: array, cols: array, vals: array,
         symmetric: bool = False,
     ) -> None:
         if window_n < 2:
@@ -368,7 +358,10 @@ def save_matrix(matrix: ContextMatrix, destination: str | Path) -> None:
     words = matrix.vocab.words
     for idx, word in enumerate(words):
         if not word or "\t" in word or "\n" in word or "\r" in word:
-            raise ValueError(f"vocabulary word {idx} cannot be saved: {word!r} is empty or holds a tab or line end")
+            raise ValueError(
+                f"vocabulary word {idx} cannot be saved: {word!r} is empty"
+                " or holds a tab or line end"
+            )
     row_start, cols, vals = matrix.row_start, matrix.cols, matrix.vals
     with open(destination, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(

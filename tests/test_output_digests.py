@@ -5,8 +5,8 @@ rewritten for speed, so any change to what ``build-matrix``, ``stem`` or
 ``evaluate`` writes on the bundled data fails here; the demos' digests
 pin what each ``demos/*.py`` prints. The digests of a seeded corpus in
 mixed spellings and scripts were taken from the program that normalized
-one token at a time and counted each window pair twice. A change that means to alter the
-output updates the digests and says why.
+one token at a time and counted each window pair twice. A change that
+means to alter the output updates the digests and says why.
 """
 
 import contextlib
