@@ -26,7 +26,9 @@ from .cooccurrence import AssociationMeasure, ContextMatrix, Vocabulary, associa
 # importable from here: bench/tracing.py wraps it at this module.
 from .cooccurrence import association  # noqa: F401
 from .corpus import filter_tokens, is_kept, normalize, tokenize
-from .morphology import _SLOT_CHARS, CandidateRoot, MorphResources, Pattern, generate_candidates
+from .morphology import (
+    _FORM_SEPARATOR, _SLOT_CHARS, CandidateRoot, MorphResources, Pattern, generate_candidates, join_forms,
+)
 
 CONTEXT_MODES = ("previous", "window")
 
@@ -63,35 +65,37 @@ class StemResult:
     scored: tuple[tuple[CandidateRoot, ScoredRoot], ...] = ()
 
 
-# Joins the digit-slot forms of one arity's templates so that one
-# str.replace per slot fills them all; no template or dictionary root
-# holds it, nor a slot digit.
-_FORM_SEPARATOR = "\t"
+# A root holding either could not be told apart from the digit-slot forms
+# that ``derive_words`` fills with it.
 _NOT_IN_A_ROOT = re.compile(f"[{_FORM_SEPARATOR}{_SLOT_CHARS}]")
 
 
 def derive_words(
-    root: str, patterns: Sequence[Pattern], vocabulary
+    root: str, patterns: Sequence[Pattern] | MorphResources, vocabulary
 ) -> list[str]:
     """Surface words derivable from ``root`` that the matrix knows about.
 
     Instantiates every pattern whose arity matches, adds the bare root,
     and keeps the in-vocabulary subset (sorted). When nothing survives,
     falls back to the bare root alone so scoring still has a subject.
-    The matching templates are joined by a tab in their digit-slot form,
-    and each slot digit is replaced by its root letter with one
-    ``str.replace``, so ``root`` must not hold a tab or a slot digit.
+    The templates of the root's arity come as one string of tab-ended
+    digit-slot forms (``MorphResources.templates_of_arity``, built once
+    with the resource object, or joined here from a pattern sequence).
+    Each slot digit is replaced by its root letter with one
+    ``str.replace``, so ``root`` must not hold a tab or a slot digit, and
+    the forms are filtered in C by the vocabulary's ``__contains__``.
     """
     if _NOT_IN_A_ROOT.search(root):
         raise ValueError(f"a root cannot hold a tab or a digit 1-5: {root!r}")
     arity = len(root)
-    forms = {root}
-    filled = _FORM_SEPARATOR.join([p.source for p in patterns if p.root_arity == arity])
-    if filled:
-        for slot, letter in zip(_SLOT_CHARS, root):
-            filled = filled.replace(slot, letter)
-        forms.update(filled.split(_FORM_SEPARATOR))
-    known = sorted(filter(vocabulary.__contains__, forms))
+    if isinstance(patterns, MorphResources):
+        filled = patterns.templates_of_arity(arity)
+    else:
+        filled = join_forms(p for p in patterns if p.root_arity == arity)
+    filled += root
+    for slot, letter in zip(_SLOT_CHARS, root):
+        filled = filled.replace(slot, letter)
+    known = sorted(set(filter(vocabulary.__contains__, filled.split(_FORM_SEPARATOR))))
     return known if known else [root]
 
 
@@ -235,11 +239,16 @@ class Stemmer:
         return found
 
     def _derived_indices(self, root: str) -> tuple[int, ...]:
+        """Vocabulary indices of ``derive_words`` of ``root``, computed once per root."""
         found = self._derived.get(root)
         if found is None:
-            vocab = self.matrix.vocab
-            words = derive_words(root, self.resources.patterns_of_arity(len(root)), vocab.index)
-            found = self._derived[root] = _indices(words, vocab)
+            index = self.matrix.vocab.index
+            found = tuple(map(index.get, derive_words(root, self.resources, index)))
+            # Only the bare root that derive_words falls back to can be out
+            # of vocabulary, and it stands for itself with no index.
+            if found[0] is None:
+                found = ()
+            self._derived[root] = found
         return found
 
     def stem(
@@ -270,7 +279,7 @@ class Stemmer:
             derived = self._derived_indices(cand.root)
             score = _mean_association(self.matrix, self.measure, derived, ctx, len(ctx_words))
             table.append(ScoredRoot(cand.root, score, len(derived)))
-        chosen = _choose(table, self.matrix)
+        chosen = table[0] if len(table) == 1 else _choose(table, self.matrix)
         return StemResult(word, normalized, chosen.root, None, tuple(zip(candidates, table)))
 
     def stem_tokens(self, tokens: Sequence[str]) -> list[StemResult]:

@@ -18,13 +18,16 @@ The resource objects index themselves once, when they are built, and
 hold nothing that depends on the words they are asked about: affix lists
 know their longest entry, so ``segment`` probes only the prefixes and
 suffixes the word could carry; each pattern compiles its cells into C
-getters; and ``MorphResources`` groups its patterns by root arity and,
-within each length, by the positions of their literal letters. That
-last index is the template index: an infix is matched against a whole
-group with one dict lookup, so a 5-letter infix costs 10 lookups with
-the bundled patterns rather than 33 ``match`` calls. ``MorphResources``
-also keeps the weak skeleton of every root, so that a raw root none of
-whose weak variants is a root is dropped before they are built.
+getters; and ``MorphResources`` builds the template index. For each
+template length it keeps one table per position that maps a letter to
+the bitmask of the templates the letter fits there (the same literal, or
+a slot), and an infix is matched by ANDing the masks of its letters,
+most selective position first, stopping at the first empty mask: at most
+one dict lookup per position where a template has a literal, whatever
+the number of templates. ``MorphResources`` also joins the digit-slot forms of each
+root arity into one string, which ``derive_words`` fills per root, and
+keeps the weak skeleton of every root, so that a raw root none of whose
+weak variants is a root is dropped before they are built.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .corpus import is_arabic_word, normalize
 from .errors import FormatError, read_lines
@@ -40,6 +43,9 @@ from .errors import FormatError, read_lines
 WEAK_LETTERS = "اوي"  # ا و ي
 
 _SLOT_CHARS = "12345"
+# Ends each digit-slot form in ``MorphResources.templates_of_arity``; no
+# template or dictionary root holds it.
+_FORM_SEPARATOR = "\t"
 # Insertion order for two-letter raw roots: و, ي, ا.
 _INSERTION_LETTERS = "ويا"
 
@@ -66,18 +72,15 @@ class AffixLists:
 class Pattern:
     """A derivation template: literal letters plus numbered root slots.
 
-    The cells are compiled once into ``operator.itemgetter`` objects, so
-    a match compares and slices in C: one getter reads the letters at the
-    literal positions (to compare with the literals themselves), a pair
-    reads the positions a repeated slot ties together, and one reads the
-    first position of each slot, which spells the raw root. ``template``
-    is a ``str.format`` template that fills the slots.
+    The slot cells are compiled once into ``operator.itemgetter`` objects,
+    so reading a raw root compares and slices in C: a pair reads the
+    positions a repeated slot ties together, and one reads the first
+    position of each slot, which spells the raw root. Literal cells are
+    checked by ``MorphResources``' template index (or by ``match``, cell by
+    cell). ``template`` is a ``str.format`` template that fills the slots.
     """
 
-    __slots__ = (
-        "cells", "source", "length", "root_arity",
-        "_literals", "_literal_at", "_literal_key", "_repeats", "_slots_at", "template",
-    )
+    __slots__ = ("cells", "source", "length", "root_arity", "_repeats", "_slots_at", "template")
 
     def __init__(self, cells: tuple[int | str, ...], source: str):
         self.cells = cells
@@ -85,12 +88,10 @@ class Pattern:
         self.length = len(cells)
         self.root_arity = max(c for c in cells if isinstance(c, int))
         first: dict[int, int] = {}
-        literals = []
         repeats = []
         template = []
         for pos, cell in enumerate(cells):
             if isinstance(cell, str):
-                literals.append(pos)
                 template.append(cell.replace("{", "{{").replace("}", "}}"))
                 continue
             if cell in first:
@@ -98,15 +99,6 @@ class Pattern:
             else:
                 first[cell] = pos
             template.append("{%d}" % (cell - 1))
-        # Read from an infix, the getter gives a letter for one literal, a
-        # tuple of letters for several, and "" (an empty slice) for none.
-        self._literals = tuple(literals)
-        if literals:
-            self._literal_at = itemgetter(*literals)
-            self._literal_key = self._literal_at(cells)
-        else:
-            self._literal_at = itemgetter(slice(0, 0))
-            self._literal_key = ""
         self._repeats = (
             (itemgetter(*(a for a, _ in repeats)), itemgetter(*(b for _, b in repeats))) if repeats else None
         )
@@ -119,7 +111,9 @@ class Pattern:
         Requires equal length, literal cells matching letter-for-letter,
         and a repeated slot carrying the same letter at every occurrence.
         """
-        if len(infix) != self.length or self._literal_at(infix) != self._literal_key:
+        if len(infix) != self.length:
+            return None
+        if any(cell != ch for cell, ch in zip(self.cells, infix) if isinstance(cell, str)):
             return None
         return self._root_of(infix)
 
@@ -168,58 +162,93 @@ class CandidateRoot:
 class MorphResources:
     """The four resource lists, indexed once when they are built.
 
-    Besides grouping the patterns by root arity, it groups the templates
-    of each length by the positions of their literals (the template
-    index): a group maps the letters read at its positions to its
-    templates with those letters. ``templates_matching`` then costs one
-    getter call and one dict lookup per group, not one ``match`` per
-    template. It also holds the weak skeleton of every root (see
-    ``may_reach_root``).
+    The template index holds, for each template length, the templates of
+    that length in file order, one bit each, and one step per position
+    where some template has a literal: a table from a letter to the mask
+    of the templates it fits there (its literal, or any slot), and the
+    mask of the templates with a slot there, which any other letter fits.
+    Steps run from the position with the fewest slots, the most selective
+    one. ``templates_matching`` ANDs the masks of an infix's letters, and
+    the bits left over are the templates whose literals it carries. The
+    resource object also joins the digit-slot forms of the templates of
+    each root arity into one string for ``derive_words``, and holds the
+    weak skeleton of every root (see ``may_reach_root``).
     """
 
     affixes: AffixLists
     patterns: tuple[Pattern, ...]
     roots: frozenset[str]
-    _by_arity: dict[int, tuple[Pattern, ...]] = field(init=False, repr=False, compare=False)
-    # length -> ((literal getter, {literal letters: ((file index, pattern), ...)}), ...)
-    _by_literals: dict[int, tuple] = field(init=False, repr=False, compare=False)
+    # arity -> the digit-slot forms, in file order, each followed by a tab
+    _forms_by_arity: dict[int, str] = field(init=False, repr=False, compare=False)
+    # length -> (mask of every template, ((position, {letter: mask}, slot mask), ...), templates)
+    _by_length: dict[int, tuple] = field(init=False, repr=False, compare=False)
     _weak_skeletons: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         by_arity: dict[int, list[Pattern]] = {}
-        by_literals: dict[int, dict[tuple[int, ...], tuple]] = {}
-        for order, pattern in enumerate(self.patterns):
+        by_length: dict[int, list[Pattern]] = {}
+        for pattern in self.patterns:
             by_arity.setdefault(pattern.root_arity, []).append(pattern)
-            groups = by_literals.setdefault(pattern.length, {})
-            _, table = groups.setdefault(pattern._literals, (pattern._literal_at, {}))
-            table.setdefault(pattern._literal_key, []).append((order, pattern))
-        object.__setattr__(self, "_by_arity", {n: tuple(ps) for n, ps in by_arity.items()})
-        object.__setattr__(self, "_by_literals", {
-            n: tuple((getter, {key: tuple(hits) for key, hits in table.items()}) for getter, table in groups.values())
-            for n, groups in by_literals.items()
-        })
+            by_length.setdefault(pattern.length, []).append(pattern)
+        object.__setattr__(self, "_forms_by_arity", {n: join_forms(group) for n, group in by_arity.items()})
+        object.__setattr__(self, "_by_length", {n: _template_index(group) for n, group in by_length.items()})
         object.__setattr__(self, "_weak_skeletons", frozenset(map(_weak_skeleton, self.roots)))
 
-    def patterns_of_arity(self, arity: int) -> tuple[Pattern, ...]:
-        """The templates that take an ``arity``-letter root, in file order."""
-        return self._by_arity.get(arity, ())
+    def templates_of_arity(self, arity: int) -> str:
+        """The digit-slot forms of the templates that take an ``arity``-letter
+        root, in file order, each followed by a tab; "" when there are none."""
+        return self._forms_by_arity.get(arity, "")
 
     def templates_matching(self, infix: str) -> list[tuple[Pattern, str]]:
         """``(pattern, raw root)`` for every template ``infix`` fits, in file
         order: the pairs where ``pattern.match(infix)`` is not None."""
+        index = self._by_length.get(len(infix))
+        if index is None:
+            return []
+        mask, steps, group = index
+        for at, fits, slots in steps:
+            mask &= fits.get(infix[at], slots)
+            if not mask:
+                return []
         hits = []
-        for literal_at, table in self._by_literals.get(len(infix), ()):
-            found = table.get(literal_at(infix))
-            if found is not None:
-                hits += found
-        hits.sort()
-        return [(pattern, raw) for _, pattern in hits if (raw := pattern._root_of(infix)) is not None]
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            pattern = group[low.bit_length() - 1]
+            raw = pattern._root_of(infix)
+            if raw is not None:
+                hits.append((pattern, raw))
+        return hits
 
     def may_reach_root(self, raw_root: str) -> bool:
         """False only when no weak variant of ``raw_root`` is a root: for a raw
         root of three letters or more whose weak skeleton is no root's.
         Two-letter raw roots grow by insertion, so they always pass."""
         return len(raw_root) < 3 or _weak_skeleton(raw_root) in self._weak_skeletons
+
+
+def join_forms(patterns: Iterable[Pattern]) -> str:
+    """The digit-slot forms of ``patterns``, in order, each followed by a tab."""
+    return "".join([pattern.source + _FORM_SEPARATOR for pattern in patterns])
+
+
+def _template_index(group: list[Pattern]) -> tuple:
+    """The template index entry of templates of one length: see
+    ``MorphResources``. Bit ``i`` of a mask stands for ``group[i]``."""
+    every = (1 << len(group)) - 1
+    steps = []
+    for at in range(group[0].length):
+        slots, fits = 0, {}
+        for bit, pattern in enumerate(group):
+            cell = pattern.cells[at]
+            if isinstance(cell, str):
+                fits[cell] = fits.get(cell, 0) | 1 << bit
+            else:
+                slots |= 1 << bit
+        if slots != every:
+            steps.append((slots.bit_count(), at, {letter: mask | slots for letter, mask in fits.items()}, slots))
+    steps.sort(key=itemgetter(0, 1))
+    return every, tuple(step[1:] for step in steps), tuple(group)
 
 
 def parse_pattern(line: str, *, path: str | None = None, lineno: int | None = None) -> Pattern:

@@ -1,20 +1,34 @@
+import copy
+from array import array
+from dataclasses import fields, is_dataclass
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cbas import disambiguation
+from cbas import cooccurrence, corpus, disambiguation, errors, evaluation, morphology
 from cbas.cooccurrence import AssociationMeasure, ContextMatrix, build_matrix
 from cbas.disambiguation import (
+    CONTEXT_MODES,
     ScoredRoot,
     StemContext,
     Stemmer,
+    _indices,
     derive_words,
     score_root,
     select_root,
 )
 from cbas.cooccurrence import association
 from cbas.corpus import iter_token_streams, normalize, read_corpus, tokenize
-from cbas.morphology import CandidateRoot, Segmentation, generate_candidates, parse_pattern
+from cbas.morphology import (
+    CandidateRoot,
+    Pattern,
+    Segmentation,
+    bundled_resource_dir,
+    generate_candidates,
+    load_resources,
+    parse_pattern,
+)
 
 from .conftest import DATA_DIR
 from .oracles import oracle_derive_words
@@ -392,3 +406,69 @@ def test_stem_context_is_scored_whole_and_only_the_stemmer_trims_it(bundled_setu
     assert table("window", BEFORE_KATABA)[0].score == pytest.approx(0.6211, abs=1e-4)
     # The nearest preceding word is the last one.
     assert stemmed("previous") == table("previous", BEFORE_KATABA) == table("previous", BEFORE_KATABA[-1:])
+
+
+def test_derived_indices_of_every_bundled_root_equal_per_template_reference(bundled_setup):
+    resources, stopwords, matrix, _ = bundled_setup
+    vocab = matrix.vocab
+    stemmer = Stemmer(resources, stopwords, matrix)
+    got = {root: stemmer._derived_indices(root) for root in sorted(resources.roots)}
+    assert got == {
+        root: _indices(oracle_derive_words(root, resources.patterns, vocab), vocab) for root in sorted(resources.roots)
+    }
+    # No derivation of this root, itself included, is in the vocabulary.
+    assert got["قضي"] == ()
+
+
+def _contents(value):
+    """Everything ``value`` holds, down to plain values; a compiled getter
+    stands for its type, and a container for its length and contents."""
+    if is_dataclass(value):
+        return {f.name: _contents(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return len(value), {key: _contents(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return len(value), [_contents(item) for item in value]
+    if isinstance(value, Pattern):
+        return {name: _contents(getattr(value, name)) for name in Pattern.__slots__}
+    if isinstance(value, (str, int, float, frozenset, array)):
+        return value
+    return type(value).__name__
+
+
+def _module_state():
+    """The mutable containers at the module level of every ``cbas`` module."""
+    return {
+        (module.__name__, name): copy.deepcopy(value)
+        for module in (cooccurrence, corpus, disambiguation, evaluation, errors, morphology)
+        for name, value in vars(module).items()
+        if isinstance(value, (dict, list, set)) and not name.startswith("__")
+    }
+
+
+def test_stemmers_leave_no_word_state_in_resources_matrix_or_modules(bundled_setup):
+    """What a Stemmer learns about words stays in it: after two Stemmers run
+    over one resource object and one matrix, the resources equal a freshly
+    loaded copy field by field, and the matrix has gained at most the SPMI
+    normaliser of the measure's alpha."""
+    resources, stopwords, _, tokens = bundled_setup
+    documents = read_corpus(DATA_DIR / "sample_corpus")
+    matrix = build_matrix(iter_token_streams(documents, stopwords), 3)
+    fresh = load_resources(bundled_resource_dir())
+    before = {name: copy.deepcopy(value) for name, value in vars(matrix).items()}
+    modules = _module_state()
+    assert before.pop("_alpha_norms") == {}
+    measure = AssociationMeasure("spmi", 0.5)
+    for mode in CONTEXT_MODES:
+        Stemmer(resources, stopwords, matrix, measure, mode).stem_tokens(tokens)
+    assert resources == fresh
+    assert _contents(resources) == _contents(fresh)
+    after = dict(vars(matrix))
+    assert after.pop("_alpha_norms").keys() <= {measure.alpha}
+    assert after.keys() == before.keys()
+    for name, value in before.items():
+        if name == "vocab":
+            assert (after[name].words, after[name].index) == (value.words, value.index)
+        else:
+            assert after[name] == value, name
+    assert _module_state() == modules

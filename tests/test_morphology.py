@@ -17,7 +17,7 @@ from cbas.morphology import (
 )
 
 from .conftest import make_toy_resources
-from .oracles import oracle_candidates, oracle_generate_candidates
+from .oracles import _match_cells, oracle_candidates, oracle_generate_candidates
 
 CORE_LETTERS = "بتجحدرسصقكلمنهويا"
 
@@ -355,6 +355,110 @@ class TestIndexedLookups:
     def test_patterns_indexed_in_file_order(self):
         resources = make_toy_resources()
         for arity in range(1, 6):
-            assert resources.patterns_of_arity(arity) == tuple(
-                p for p in resources.patterns if p.root_arity == arity
+            assert resources.templates_of_arity(arity) == "".join(
+                p.source + "\t" for p in resources.patterns if p.root_arity == arity
             )
+
+
+# Few literal letters, shared with the root letters, so that generated
+# templates share literals and an infix often fits several of them.
+GENERATED_LITERALS = "امتن"
+GENERATED_ROOT_LETTERS = "امتبكدوي"
+
+
+@st.composite
+def template_lines(draw, length=None):
+    """A valid digit-slot line of 3-7 cells: slots 1..arity first appear in
+    order, literals fall anywhere, and slot 3 may repeat once it has appeared."""
+    length = draw(st.integers(3, 7)) if length is None else length
+    arity = draw(st.integers(3, min(5, length)))
+    line, next_slot = [], 1
+    for left in range(length, 0, -1):
+        kinds = ["slot"] if next_slot <= arity else []
+        if left > arity - next_slot + 1:
+            kinds += ["literal", "repeat"] if next_slot > 3 else ["literal"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "slot":
+            line.append(str(next_slot))
+            next_slot += 1
+        else:
+            line.append("3" if kind == "repeat" else draw(st.sampled_from(GENERATED_LITERALS)))
+    return "".join(line)
+
+
+@st.composite
+def pattern_lists(draw):
+    """Templates of lengths 3-7, with repeats of drawn lines, in drawn
+    order; or more than 64 templates of one length, so that a mask of the
+    template index is wider than a machine word."""
+    if draw(st.booleans()):
+        lines = draw(st.lists(template_lines(length=draw(st.integers(4, 6))), min_size=65, max_size=80))
+    else:
+        lines = draw(st.lists(template_lines(), max_size=12))
+    if lines:
+        lines += draw(st.lists(st.sampled_from(lines), max_size=3))
+    return tuple(parse_pattern(line) for line in draw(st.permutations(lines)))
+
+
+@st.composite
+def fitted_infixes(draw, patterns):
+    """A drawn template filled with drawn root letters, or any letters."""
+    if patterns and draw(st.booleans()):
+        pattern = draw(st.sampled_from(patterns))
+        root = draw(st.text(alphabet=GENERATED_ROOT_LETTERS, min_size=pattern.root_arity, max_size=pattern.root_arity))
+        return pattern.instantiate(root)
+    return draw(st.text(alphabet=GENERATED_ROOT_LETTERS, max_size=8))
+
+
+# Each kind of list the generator must reach, also written out: templates
+# without a literal, a repeated slot 3 (both with duplicates), and 128
+# templates of length 6.
+NO_LITERALS = ("123", "1234", "12345", "123", "1233", "12333")
+REPEATED_SLOT_3 = ("ا123ا3", "1233", "م12333", "123ت3", "ا123ا3")
+WIDE = tuple(
+    form
+    for a in GENERATED_LITERALS
+    for b in GENERATED_LITERALS
+    for c in GENERATED_LITERALS
+    for form in (f"{a}1{b}2{c}3", f"1{a}2{b}3{c}")
+)
+WRITTEN_OUT = st.sampled_from([NO_LITERALS, REPEATED_SLOT_3, WIDE]).map(lambda lines: tuple(map(parse_pattern, lines)))
+
+
+class TestGeneratedPatternLists:
+    """The template index agrees with the cell-by-cell reference on pattern
+    lists the bundled file does not have."""
+
+    @given(st.one_of(pattern_lists(), WRITTEN_OUT), st.data())
+    def test_templates_matching_equals_cell_loops(self, patterns, data):
+        resources = MorphResources(AffixLists(frozenset({""}), frozenset({""})), patterns, frozenset())
+        for _ in range(5):
+            infix = data.draw(fitted_infixes(patterns))
+            want = [(id(p), raw) for p in patterns if (raw := _match_cells(p, infix)) is not None]
+            assert [(id(p), raw) for p, raw in resources.templates_matching(infix)] == want
+
+    @given(st.one_of(pattern_lists(), WRITTEN_OUT), st.data())
+    def test_generate_candidates_equals_reference(self, patterns, data):
+        roots = set(data.draw(st.lists(st.text(alphabet=GENERATED_ROOT_LETTERS, min_size=3, max_size=5), max_size=8)))
+        words = []
+        for _ in range(4):
+            infix = data.draw(fitted_infixes(patterns))
+            raws = [raw for p in patterns if (raw := _match_cells(p, infix)) is not None]
+            if raws and data.draw(st.booleans()):
+                variants = [v for v, _ in _weak_variants(data.draw(st.sampled_from(raws))) if 3 <= len(v) <= 5]
+                if variants:
+                    roots.add(data.draw(st.sampled_from(variants)))
+            words.append(data.draw(st.sampled_from(["", "و", "ال"])) + infix + data.draw(st.sampled_from(["", "ة", "ها"])))
+        resources = MorphResources(
+            AffixLists(frozenset({"", "و", "ال"}), frozenset({"", "ة", "ها"})), patterns, frozenset(roots)
+        )
+        for word in words:
+            got = [
+                (c.root, c.segmentation, None if c.pattern is None else id(c.pattern), c.weak_variant)
+                for c in generate_candidates(word, resources)
+            ]
+            want = [
+                (root, seg, None if pattern is None else id(pattern), tag)
+                for root, seg, pattern, tag in oracle_generate_candidates(word, resources)
+            ]
+            assert got == want
