@@ -21,7 +21,9 @@ from cbas.disambiguation import (
 from cbas.cooccurrence import association
 from cbas.corpus import iter_token_streams, normalize, read_corpus, tokenize
 from cbas.morphology import (
+    AffixLists,
     CandidateRoot,
+    MorphResources,
     Pattern,
     Segmentation,
     bundled_resource_dir,
@@ -96,7 +98,10 @@ class TestDeriveWords:
         # Every form of the root, in- or out-of-vocabulary as the bits of ``known`` say.
         forms = sorted({root} | {p.instantiate(root) for p in patterns if p.root_arity == len(root)})
         vocab = {form: i for i, form in enumerate(f for k, f in enumerate(forms) if known >> k & 1)}
-        assert derive_words(root, patterns, vocab) == oracle_derive_words(root, patterns, vocab)
+        want = oracle_derive_words(root, patterns, vocab)
+        assert derive_words(root, patterns, vocab) == want
+        resources = MorphResources(AffixLists(frozenset({""}), frozenset({""})), tuple(patterns), frozenset())
+        assert derive_words(root, resources, vocab) == want
 
     def test_root_with_a_tab_is_rejected(self):
         with pytest.raises(ValueError):
